@@ -178,9 +178,9 @@ class Rect:
 
     def transformed(self, transform: Transform) -> "Rect":
         """Apply a placement transform; the result is re-canonicalised."""
-        return Rect.from_points(
-            transform.apply(self.lower_left), transform.apply(self.upper_right)
-        )
+        x1, y1 = transform.apply_xy(self.x1, self.y1)
+        x2, y2 = transform.apply_xy(self.x2, self.y2)
+        return Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
 
 
 def bounding_box(rects: Iterable[Rect]) -> Optional[Rect]:

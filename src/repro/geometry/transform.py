@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.geometry.point import Point
 
@@ -73,11 +74,13 @@ class Transform:
 
     def apply(self, point: Point) -> Point:
         """Transform a single point."""
+        return Point(*self.apply_xy(point.x, point.y))
+
+    def apply_xy(self, x: int, y: int) -> Tuple[int, int]:
+        """Transform a coordinate pair without building a ``Point``."""
         a, b, c, d = _MATRICES[self.orientation]
-        return Point(
-            a * point.x + b * point.y + self.translation.x,
-            c * point.x + d * point.y + self.translation.y,
-        )
+        t = self.translation
+        return a * x + b * y + t.x, c * x + d * y + t.y
 
     def compose(self, inner: "Transform") -> "Transform":
         """Return the transform equivalent to applying ``inner`` then ``self``.

@@ -12,13 +12,20 @@ for "spacing" against itself — the classic polygon-vs-rectangle DRC
 subtlety.  The checker runs on flattened geometry, so hierarchical
 interactions (a bit-cell shape against an abutting neighbour's shape)
 are checked for real.
+
+No rule class compares all pairs: spacing and gate checks run on one
+banded x-sweep (:func:`_near_pairs`), enclosure on a grid point index
+(:class:`_PointIndex`).  The original pairwise checks are kept as a
+test-side oracle (``tests/drc_reference.py``) that these must match
+violation for violation.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from math import isqrt
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry import Rect
 from repro.layout.cell import Cell
@@ -97,53 +104,217 @@ def _merged(a: Rect, b: Rect, corner_touch: bool) -> bool:
     return a.overlaps(b) or a.abuts(b)
 
 
+_Box = Tuple[int, int, int, int]
+
+
+def _grid_step(boxes: Sequence[_Box]) -> int:
+    """Grid pitch for bucketing ``boxes``: about one box per cell.
+
+    The pitch is also at least the bounding box's longer side over the
+    box count, so one box never spans more than O(n) cells.
+    """
+    if not boxes:
+        return 1
+    width = max(b[2] for b in boxes) - min(b[0] for b in boxes)
+    height = max(b[3] for b in boxes) - min(b[1] for b in boxes)
+    n = len(boxes)
+    return max(1, isqrt(width * height // n), max(width, height) // n)
+
+
+def _near_pairs(boxes: Sequence[_Box], reach: int,
+                ) -> Iterator[Tuple[int, int, int, int]]:
+    """Every pair of boxes within ``reach`` on both axes, once each.
+
+    Yields ``(a, b, dx, dy)`` for the pairs whose signed x and y gaps
+    (negative where the extents overlap) are both below ``reach``:
+    ``reach=0`` finds the pairs sharing positive area, ``reach=1`` the
+    touching ones, and ``reach=r`` the pairs closer than a spacing rule
+    ``r``.
+
+    One x-sorted active-window pass: a box stays active while its
+    ``x2`` is above the sweep position minus ``reach``, and the window
+    is split into horizontal bands so a box meets only the active
+    boxes in the bands its y-range (grown by ``reach``) covers.  A pair
+    is examined in the one band holding the larger of its two ``y1``.
+    That keeps tiled arrays, where a whole column of shapes is active
+    at once, near linear: O(n log n) for the sort plus the pairs that
+    share a band.
+    """
+    step = max(reach, _grid_step(boxes))
+    bands: Dict[int, List[int]] = {}
+    for idx in sorted(range(len(boxes)), key=lambda i: boxes[i][0]):
+        x1, y1, x2, y2 = boxes[idx]
+        limit = x1 - reach
+        for band in range(y1 // step, (y2 + reach - 1) // step + 1):
+            still = []
+            for a in bands.get(band, ()):
+                _, ay1, ax2, ay2 = boxes[a]
+                if ax2 <= limit:
+                    continue  # out of the window for good
+                still.append(a)
+                top = max(ay1, y1)
+                if top // step == band:
+                    dx = x1 - min(ax2, x2)
+                    dy = top - min(ay2, y2)
+                    if dx < reach and dy < reach:
+                        yield a, idx, dx, dy
+            still.append(idx)
+            bands[band] = still
+
+
+def _boxes(rects: Sequence[Rect]) -> List[_Box]:
+    return [(r.x1, r.y1, r.x2, r.y2) for r in rects]
+
+
+def _sweep(rects: Sequence[Rect], reach: int, corner_touch: bool,
+           ) -> Tuple[_DisjointSet, List[Tuple[int, int, int]]]:
+    """Connectivity and close pairs of ``rects`` from one sweep.
+
+    Touching pairs that the deck's ``touch.corner`` rule connects (see
+    :func:`_merged`) are unioned; every other pair closer than
+    ``reach`` (``reach >= 1``) is returned as a ``(gap, a, b)`` triple
+    with ``a < b`` and ``gap`` the
+    :meth:`~repro.geometry.Rect.spacing_to` value.
+    """
+    ds = _DisjointSet(len(rects))
+    close: List[Tuple[int, int, int]] = []
+    for a, b, dx, dy in _near_pairs(_boxes(rects), reach):
+        # spacing_to: the larger of the x and y gaps, floored at 0.
+        gap = max(0, dx, dy)
+        if gap == 0 and (corner_touch or _merged(rects[a], rects[b], False)):
+            ds.union(a, b)
+        else:
+            close.append((gap, a, b) if a < b else (gap, b, a))
+    return ds, close
+
+
+def _group_ids(ds: _DisjointSet, n: int) -> List[int]:
+    """Dense group ids, numbered in order of each group's first member."""
+    ids: Dict[int, int] = {}
+    return [ids.setdefault(ds.find(i), len(ids)) for i in range(n)]
+
+
 def _connected_groups(
     rects: Sequence[Rect], corner_touch: bool = True
-) -> List[List[Rect]]:
-    """Partition rectangles into groups that touch or overlap.
+) -> List[int]:
+    """Group id of each rectangle: shapes that touch or overlap share one.
 
-    Sweep over x-sorted rectangles; only pairs whose x-ranges intersect
-    are candidates, keeping the common tiled-array case near linear.
-    The merge criterion follows the deck's ``touch.corner`` rule via
-    ``corner_touch`` (see :func:`_merged`).
+    Ids are dense and numbered in order of each group's lowest-index
+    member.  The merge criterion follows the deck's ``touch.corner``
+    rule via ``corner_touch`` (see :func:`_merged`).
     """
-    n = len(rects)
-    ds = _DisjointSet(n)
-    order = sorted(range(n), key=lambda i: rects[i].x1)
-    active: List[int] = []
-    for idx in order:
-        r = rects[idx]
-        active = [a for a in active if rects[a].x2 >= r.x1]
-        for a in active:
-            if _merged(rects[a], r, corner_touch):
-                ds.union(a, idx)
-        active.append(idx)
-    groups: Dict[int, List[Rect]] = defaultdict(list)
-    for i in range(n):
-        groups[ds.find(i)].append(rects[i])
-    return list(groups.values())
+    ds, _ = _sweep(rects, 1, corner_touch)
+    return _group_ids(ds, len(rects))
 
 
-def _close_box_pairs(boxes: Sequence[Rect], required: int):
-    """Yield index pairs of boxes closer than ``required``.
+def _closest_pairs(rects: Sequence[Rect], required: int,
+                   corner_touch: bool) -> List[Tuple[int, int, int]]:
+    """The closest shape pair of every group pair closer than ``required``.
 
-    X-sweep with an active list, the same pruning idea as
-    :func:`_connected_groups`: only pairs whose x-ranges come within
-    ``required`` are candidates, so the all-pairs quadratic loop over
-    group bounding boxes (the flat checker's hot spot on PLA-sized
-    cells) collapses to near-linear on realistic layouts.
+    One :func:`_sweep` yields the connectivity groups and every
+    unmerged shape pair within the rule distance; each pair of groups
+    keeps its minimum ``(gap, a, b)``, ``a`` in the group whose lowest
+    member index is smaller.  Pairs come out in group-bounding-box
+    sweep order: by the later group, then the earlier one, where
+    groups are ranked by bbox ``x1`` and then group id.
     """
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i].x1)
-    active: List[int] = []
-    for idx in order:
-        b = boxes[idx]
-        active = [a for a in active if boxes[a].x2 + required > b.x1]
-        for a in active:
-            other = boxes[a]
-            if other.y1 - required < b.y2 and b.y1 - required < other.y2 \
-                    and other.spacing_to(b) < required:
-                yield (a, idx) if a < idx else (idx, a)
-        active.append(idx)
+    if required <= 0:
+        return []
+    ds, close = _sweep(rects, required, corner_touch)
+    gid = _group_ids(ds, len(rects))
+    best: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
+    for gap, a, b in close:
+        ga, gb = gid[a], gid[b]
+        if ga == gb:
+            continue
+        if ga > gb:
+            ga, gb, a, b = gb, ga, b, a
+        found = best.get((ga, gb))
+        if found is None or (gap, a, b) < found:
+            best[(ga, gb)] = (gap, a, b)
+    if not best:
+        return []
+    left: Dict[int, int] = {}
+    for r, g in zip(rects, gid):
+        left[g] = min(left.get(g, r.x1), r.x1)
+    rank = {g: k for k, g in enumerate(
+        sorted(left, key=lambda g: (left[g], g)))}
+
+    def emission(pair: Tuple[int, int]) -> Tuple[int, int]:
+        ri, rj = rank[pair[0]], rank[pair[1]]
+        return (ri, rj) if ri > rj else (rj, ri)
+
+    return [best[pair] for pair in sorted(best, key=emission)]
+
+
+def _crossings(polys: Sequence[Rect], diffs: Sequence[Rect],
+               ) -> List[Tuple[int, int]]:
+    """``(d, p)`` for every poly crossing a diff in a channel, sorted.
+
+    A channel is a positive-area poly/diffusion intersection.  One
+    :func:`_near_pairs` sweep over both lists finds them at zero reach,
+    so a diff meets only the polys in a window bounded on both edges:
+    those whose x-extent overlaps its own, in its y-bands.
+    """
+    if not polys or not diffs:
+        return []
+    n = len(polys)
+    found = []
+    for a, b, _, _ in _near_pairs(_boxes(polys) + _boxes(diffs), 0):
+        if a < n <= b:
+            found.append((b - n, a))
+        elif b < n <= a:
+            found.append((a - n, b))
+    found.sort()
+    return found
+
+
+def _endcap_violation(poly: Rect, diff: Rect,
+                      endcap: int) -> Optional[DrcViolation]:
+    """The gate-endcap violation of one poly/diffusion crossing, if any.
+
+    The poly must extend past the diffusion by the endcap rule on the
+    channel axis (otherwise the transistor can leak around the gate
+    end).  The channel axis is inferred from which pair of gate edges
+    falls strictly inside the diffusion.
+    """
+    crosses_x = poly.x1 <= diff.x1 and poly.x2 >= diff.x2
+    crosses_y = poly.y1 <= diff.y1 and poly.y2 >= diff.y2
+    if crosses_x:
+        # Horizontal poly crossing: endcap in x already guaranteed;
+        # nothing to measure on this axis.
+        margin = min(diff.x1 - poly.x1, poly.x2 - diff.x2)
+    elif crosses_y:
+        margin = min(diff.y1 - poly.y1, poly.y2 - diff.y2)
+    else:
+        # Poly ends inside the diffusion on both axes: no complete
+        # gate is formed — flag it.
+        margin = -1
+    if margin >= endcap:
+        return None
+    return DrcViolation("gate-endcap", "poly", max(margin, 0), endcap,
+                        poly.intersection(diff))
+
+
+class _PointIndex:
+    """Uniform-grid buckets of rectangles for point-containment queries.
+
+    Each rectangle is filed under every grid cell it covers, so the
+    rectangles containing a point are among those filed under the
+    point's own cell (see :func:`_grid_step` for the pitch).
+    """
+
+    def __init__(self, rects: Sequence[Rect]) -> None:
+        self._buckets: Dict[Tuple[int, int], List[Rect]] = defaultdict(list)
+        self._step = step = _grid_step(_boxes(rects))
+        for r in rects:
+            for gx in range(r.x1 // step, r.x2 // step + 1):
+                for gy in range(r.y1 // step, r.y2 // step + 1):
+                    self._buckets[(gx, gy)].append(r)
+
+    def at(self, x: int, y: int) -> Sequence[Rect]:
+        """Candidates (a superset) for the rectangles containing (x, y)."""
+        return self._buckets.get((x // self._step, y // self._step), ())
 
 
 class DrcChecker:
@@ -220,37 +391,21 @@ class DrcChecker:
             return []
         solid = [r for r in rects if r.area > 0]
         corner_touch = self.process.rules.corner_touch_connects()
-        groups = _connected_groups(solid, corner_touch)
-        if len(groups) < 2:
-            return []
-        # Compare group bounding boxes first (cheap reject), then the
-        # individual rectangles of close groups.
-        boxes = []
-        for g in groups:
-            box = g[0]
-            for r in g[1:]:
-                box = box.union_bbox(r)
-            boxes.append(box)
-        out = []
-        for i, j in _close_box_pairs(boxes, required):
-            gap, pair = min(
-                ((a.spacing_to(b), (a, b))
-                 for a in groups[i] for b in groups[j]),
-                key=lambda item: item[0],
-            )
-            # A zero gap between *different* groups only happens when
-            # the deck says corner contact does not conduct (otherwise
-            # the shapes would have merged), and is then a violation.
-            if gap < required and (gap > 0 or not corner_touch):
-                where = pair[0].union_bbox(pair[1])
-                out.append(
-                    DrcViolation("min-space", layer, gap, required, where)
-                )
-        return out
+        # A zero gap between *different* groups only happens when the
+        # deck says corner contact does not conduct (otherwise the
+        # shapes would have merged), and is then a violation.
+        return [
+            DrcViolation("min-space", layer, gap, required,
+                         solid[a].union_bbox(solid[b]))
+            for gap, a, b in _closest_pairs(solid, required, corner_touch)
+        ]
 
     def _check_enclosures(
         self, by_layer: Dict[str, List[Rect]]
     ) -> List[DrcViolation]:
+        # A metal shape enclosing a grown cut contains its lower-left
+        # corner, so a point-location index finds the candidates.
+        indexes: Dict[str, _PointIndex] = {}
         out = []
         for cut_layer, enclosers in self._CUT_ENCLOSURES.items():
             cuts = by_layer.get(cut_layer, [])
@@ -260,11 +415,16 @@ class DrcChecker:
                 required = self._rule(f"enclose.{encloser}_{cut_layer}")
                 if required is None:
                     continue
-                metal = by_layer.get(encloser, [])
+                if encloser not in indexes:
+                    indexes[encloser] = _PointIndex(
+                        by_layer.get(encloser, []))
+                metal = indexes[encloser]
                 for cut in cuts:
                     grown = cut.expanded(required)
-                    if not any(m.contains_rect(grown) for m in metal):
-                        margin = self._best_margin(cut, metal)
+                    if not any(m.contains_rect(grown)
+                               for m in metal.at(grown.x1, grown.y1)):
+                        margin = self._best_margin(
+                            cut, metal.at(cut.x1, cut.y1))
                         out.append(
                             DrcViolation(
                                 f"enclosure-{encloser}",
@@ -282,10 +442,7 @@ class DrcChecker:
         """Transistor-geometry rules at every poly-diffusion crossing.
 
         A gate is a poly rectangle overlapping a diffusion rectangle;
-        the poly must extend past the diffusion by the endcap rule on
-        the channel axis (otherwise the transistor can leak around the
-        gate end).  The check infers the channel axis from which pair
-        of gate edges falls strictly inside the diffusion.
+        see :func:`_endcap_violation` for the rule.
         """
         endcap = self._rule("overhang.gate_poly")
         if endcap is None:
@@ -293,34 +450,11 @@ class DrcChecker:
         polys = by_layer.get("poly", [])
         out: List[DrcViolation] = []
         for diff_layer in ("ndiff", "pdiff"):
-            for diff in by_layer.get(diff_layer, []):
-                if diff.area == 0:
-                    continue
-                for poly in polys:
-                    channel = poly.intersection(diff)
-                    if channel is None or channel.area == 0:
-                        continue
-                    crosses_x = poly.x1 <= diff.x1 and poly.x2 >= diff.x2
-                    crosses_y = poly.y1 <= diff.y1 and poly.y2 >= diff.y2
-                    if crosses_x:
-                        # Horizontal poly crossing: endcap in x already
-                        # guaranteed; nothing to measure on this axis.
-                        margin = min(diff.x1 - poly.x1,
-                                     poly.x2 - diff.x2)
-                    elif crosses_y:
-                        margin = min(diff.y1 - poly.y1,
-                                     poly.y2 - diff.y2)
-                    else:
-                        # Poly ends inside the diffusion on both axes:
-                        # no complete gate is formed — flag it.
-                        margin = -1
-                    if margin < endcap:
-                        out.append(
-                            DrcViolation(
-                                "gate-endcap", "poly",
-                                max(margin, 0), endcap, channel,
-                            )
-                        )
+            diffs = by_layer.get(diff_layer, [])
+            for d, p in _crossings(polys, diffs):
+                found = _endcap_violation(polys[p], diffs[d], endcap)
+                if found is not None:
+                    out.append(found)
         return out
 
     @staticmethod

@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.config import RamConfig
 from repro.layout.cell import Cell
-from repro.layout.drc import _DisjointSet, _merged
+from repro.layout.drc import _connected_groups, _merged
 from repro.pnr.connectivity import _through_key, connectivity_graph
 from repro.tech.process import Process
 from repro.verify.report import SignoffFinding
@@ -108,21 +108,12 @@ def _geometry_bridges(parent: Cell, process: Process,
         landings = port_rects.get(layer, [])
         if not landings:
             continue
-        groups = _DisjointSet(len(rects))
-        order = sorted(range(len(rects)), key=lambda i: rects[i].x1)
-        active: List[int] = []
-        for idx in order:
-            r = rects[idx]
-            active = [a for a in active if rects[a].x2 >= r.x1]
-            for a in active:
-                if _merged(rects[a], r, corner_touch):
-                    groups.union(a, idx)
-            active.append(idx)
+        group = _connected_groups(rects, corner_touch)
         by_group: Dict[int, List[Endpoint]] = {}
         for endpoint, prect in landings:
             for i, r in enumerate(rects):
                 if _merged(r, prect, corner_touch):
-                    by_group.setdefault(groups.find(i), []).append(endpoint)
+                    by_group.setdefault(group[i], []).append(endpoint)
                     break
         for members in by_group.values():
             first = members[0]

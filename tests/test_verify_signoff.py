@@ -105,6 +105,17 @@ class TestHierarchicalDrc:
         assert warm.stats["cache_hit_rate"] == 1.0
         assert warm.stats["leaf_checks"] == 0
 
+    def test_drc_time_booked_per_stage(self, compiled):
+        cold = hierarchical_drc(
+            compiled.floorplan.top, PROCESS, cache=DrcCache())
+        assert cold.stats["leaf_s"] > 0 and cold.stats["seam_s"] > 0
+        assert cold.stats["leaf_s"] + cold.stats["seam_s"] \
+            <= cold.stats["elapsed_s"]
+        report = run_signoff(compiled, cache=DrcCache())
+        drc = {r.stage: r.elapsed_s for r in report.results
+               if r.checker == "drc"}
+        assert drc["leaf-cells"] > 0 and drc["assembly"] > 0
+
     def test_content_hash_ignores_names(self):
         a, b = Cell("one"), Cell("two")
         for c in (a, b):
@@ -112,6 +123,18 @@ class TestHierarchicalDrc:
         assert cell_hash(a) == cell_hash(b)
         b.add_shape("metal1", Rect(20, 0, 30, 10))
         assert cell_hash(a) != cell_hash(b)
+
+    def test_remembered_shape_digests_follow_appended_shapes(self):
+        digests = DrcCache().shape_digests
+        cell = Cell("grows")
+        cell.add_shape("metal1", Rect(0, 0, 10, 10))
+        first = cell_hash(cell, shape_digests=digests)
+        assert cell in digests
+        assert cell_hash(cell, shape_digests=digests) == first \
+            == cell_hash(cell)
+        cell.add_shape("metal1", Rect(20, 0, 30, 10))
+        assert cell_hash(cell, shape_digests=digests) == cell_hash(cell) \
+            != first
 
     def test_dirty_leaf_attributed(self):
         leaf = Cell("dirty_leaf")
