@@ -1,6 +1,6 @@
 """Compile-as-a-service economics: store payoff and server throughput.
 
-Two claims back the service subsystem:
+Three claims back the service subsystem:
 
 * A **warm** compile — same configuration, artifact store populated —
   must be at least 5x faster than the cold build it replaces, and must
@@ -9,6 +9,9 @@ Two claims back the service subsystem:
 * The macro server must scale request throughput with client
   concurrency when requests hit the store, because warm requests are
   I/O-bound reads behind a thread pool, not compiles.
+* The **batch endpoint** amortizes HTTP round-trips: N warm items
+  through one ``/compile_batch`` stream must not be slower than N
+  sequential ``/compile`` calls (and should win clearly at depth).
 """
 
 import threading
@@ -18,10 +21,16 @@ from conftest import print_table
 from repro.core.config import RamConfig
 from repro.core.stages import StageCache
 from repro.service import ArtifactStore, MacroServer, compile_cached
+from repro.service.http import (
+    ServiceClient,
+    make_http_server,
+    serve_forever_in_thread,
+)
 
 CONFIG = RamConfig(words=64, bpw=8, bpc=4, strap_every=8)
 CLIENT_THREADS = (1, 4, 8)
 REQUESTS_PER_CLIENT = 25
+BATCH_DEPTHS = (1, 8, 32)
 
 
 def test_cold_vs_warm_compile(tmp_path):
@@ -241,3 +250,47 @@ def test_process_backend_cold_throughput_scales(tmp_path):
     assert ratio >= floor, (
         f"8-client throughput only {ratio:.2f}x the single-client "
         f"rate on {cores} core(s); floor {floor}x")
+
+
+def test_batch_amortizes_http_roundtrips(tmp_path):
+    store = ArtifactStore(tmp_path / "store")
+    compile_cached(CONFIG, store=store)  # pre-warm
+    server = MacroServer(store=store, workers=8, queue_limit=256,
+                         batch_limit=64)
+    httpd = make_http_server(server, port=0)
+    serve_forever_in_thread(httpd)
+    host, port = httpd.server_address[:2]
+    client = ServiceClient(host, port)
+    rows = []
+    ratios = {}
+    try:
+        for depth in BATCH_DEPTHS:
+            t0 = time.perf_counter()
+            for _ in range(depth):
+                client.compile(CONFIG)
+            sequential_s = time.perf_counter() - t0
+
+            t0 = time.perf_counter()
+            records = list(client.compile_batch([CONFIG] * depth))
+            batch_s = time.perf_counter() - t0
+            assert len(records) == depth
+            assert all(r["status"] == "ok" for r in records)
+
+            ratios[depth] = sequential_s / batch_s if batch_s else 1.0
+            rows.append([depth, f"{sequential_s * 1e3:.1f}",
+                         f"{batch_s * 1e3:.1f}",
+                         f"{ratios[depth]:.2f}x"])
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        server.shutdown()
+    print_table(
+        "Batch endpoint vs sequential /compile (warm store)",
+        ["items", "sequential ms", "batch ms", "amortization"],
+        rows,
+    )
+    # At depth 32 one streamed connection must beat 32 round-trips
+    # (allowing scheduling noise on loaded CI boxes).
+    assert ratios[32] >= 0.8, (
+        f"batch of 32 ran {1 / ratios[32]:.2f}x slower than "
+        f"sequential round-trips")

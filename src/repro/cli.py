@@ -203,19 +203,8 @@ def _compile_via_store(args: argparse.Namespace,
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the concurrent macro server (``repro serve``)."""
     from repro.service import ArtifactStore, MacroServer
-    from repro.service.http import ServiceClient, make_http_server
+    from repro.service.http import make_http_server
 
-    if args.drain:
-        client = ServiceClient(host=args.host, port=args.port)
-        payload = client.drain()
-        print(f"drain requested from {args.host}:{args.port} "
-              f"(role={payload.get('role', '?')}); the lease is "
-              f"handed off once in-flight builds finish")
-        return 0
-    if args.lease and args.standby_of:
-        raise ConfigError(
-            "--lease and --standby-of are mutually exclusive: a "
-            "primary owns the lease, a standby only watches it")
     store = None
     if args.cache_dir:
         budget = (int(args.cache_budget_mb * 1_000_000)
@@ -236,53 +225,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
         from repro.service.wal import RequestLog
 
         wal = RequestLog(args.wal)
-    lease = None
-    role = "primary"
-    if args.standby_of:
-        from repro.service.ha import Lease
-
-        if store is None:
-            raise ConfigError(
-                "--standby-of needs --cache-dir: a standby serves "
-                "store hits, which live in the artifact store")
-        lease = Lease(args.standby_of, ttl_s=args.lease_ttl_s)
-        role = "standby"
-    elif args.lease:
-        from repro.service.ha import Lease
-
-        lease = Lease(args.lease, ttl_s=args.lease_ttl_s)
-    governor = None
-    if args.disk_reserve_mb or args.rss_limit_mb:
-        from repro.service.governor import ResourceGovernor
-
-        if args.disk_reserve_mb and store is None:
-            raise ConfigError(
-                "--disk-reserve-mb needs --cache-dir: the governor "
-                "watches free space on the store volume")
-        worker_pids = backend.worker_pids if backend is not None \
-            else None
-        governor = ResourceGovernor(
-            store.root if store is not None else ".",
-            disk_reserve_bytes=(int(args.disk_reserve_mb * 1_000_000)
-                                if args.disk_reserve_mb else None),
-            rss_limit_bytes=(int(args.rss_limit_mb * 1_000_000)
-                             if args.rss_limit_mb else None),
-            worker_pids=worker_pids)
     server = MacroServer(store=store, workers=args.workers,
                          queue_limit=args.queue_limit,
                          backend=backend, wal=wal,
-                         governor=governor, lease=lease, role=role,
                          batch_limit=args.batch_limit)
     httpd = make_http_server(server, host=args.host, port=args.port,
                              verbose=args.verbose,
                              max_requests=args.max_requests)
     host, port = httpd.server_address[:2]
     print(f"macro server on http://{host}:{port} "
-          f"(role={role} backend={args.backend} "
+          f"(backend={args.backend} "
           f"workers={args.workers} queue={args.queue_limit} "
           f"cache={args.cache_dir or 'off'} "
-          f"wal={args.wal or 'off'} "
-          f"lease={args.lease or args.standby_of or 'off'})",
+          f"wal={args.wal or 'off'})",
           flush=True)
     try:
         httpd.serve_forever()
@@ -833,33 +788,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-requests", type=int, default=None,
                    help="exit after serving this many compile "
                         "requests (CI smoke runs)")
-    p.add_argument("--lease", default=None, metavar="FILE",
-                   help="acquire this liveness lease as the primary "
-                        "and heartbeat it (refuses to start if a live "
-                        "primary already holds it)")
-    p.add_argument("--standby-of", default=None, metavar="LEASE",
-                   help="run as a warm standby: serve store hits "
-                        "read-only, watch this lease file, and "
-                        "promote to primary when it expires or is "
-                        "handed off (requires --cache-dir)")
-    p.add_argument("--lease-ttl-s", type=float, default=10.0,
-                   help="lease staleness horizon: heartbeats older "
-                        "than this mean the primary is dead")
-    p.add_argument("--drain", action="store_true",
-                   help="do not start a server; ask the one at "
-                        "--host/--port to drain and hand off its "
-                        "lease, then exit")
     p.add_argument("--batch-limit", type=int, default=64,
                    help="max items in one POST /compile_batch "
                         "(larger batches get 413)")
-    p.add_argument("--disk-reserve-mb", type=float, default=None,
-                   help="shed new builds (503 + Retry-After) when "
-                        "free disk in the store drops below this; "
-                        "read-only degraded mode below a quarter of "
-                        "it (requires --cache-dir)")
-    p.add_argument("--rss-limit-mb", type=float, default=None,
-                   help="shed new builds when server + worker RSS "
-                        "exceeds this")
     p.add_argument("--verbose", action="store_true",
                    help="log each HTTP request")
     p.set_defaults(func=cmd_serve)
@@ -868,9 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run the deterministic chaos scenarios against the "
              "service tier (worker kills, hangs, torn publishes, "
-             "eviction races, ENOSPC, WAL replay, lease steals, "
-             "drain hangs, disk pressure, batch worker kills, and "
-             "full primary->standby failover)",
+             "eviction races, ENOSPC, WAL replay, and batch worker "
+             "kills)",
     )
     p.add_argument("--scenarios", nargs="+", default=["all"],
                    metavar="NAME",

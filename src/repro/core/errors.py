@@ -144,12 +144,9 @@ class ServiceUnavailable(ReproError):
 
     Attributes:
         reason: ``"saturated"``, ``"draining"``, ``"not_ready"``,
-            ``"resource_pressure"`` (governor shedding / read-only
-            degraded mode), ``"standby_miss"`` (a standby can only
-            serve store hits), ``"lease_held"`` (a second primary was
-            refused the liveness lease), ``"unreachable"`` /
-            ``"interrupted"`` (client-side: no endpoint answered, or
-            a batch stream died mid-flight).
+            ``"unreachable"`` / ``"interrupted"`` (client-side: the
+            server did not answer, or a batch stream died
+            mid-flight).
         retry_after_s: server's advice on how long to back off before
             retrying (the HTTP front-end sends it as ``Retry-After``).
     """

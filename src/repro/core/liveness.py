@@ -2,15 +2,14 @@
 
 ``os.kill(pid, 0)`` answers "does some process with this pid exist?",
 which is the wrong question for crash recovery: on a busy host a pid
-is recycled in minutes, and a claim file or liveness lease whose owner
-died can then point at an unrelated live process forever.  The robust
+is recycled in minutes, and a claim file whose owner died can then point at an unrelated live process forever.  The robust
 identity of a process is the pair ``(pid, start time)`` — Linux exposes
 the start time (in clock ticks since boot) as field 22 of
 ``/proc/<pid>/stat``, and a recycled pid necessarily has a different
 one.
 
-Every file-based ownership record in the repo (artifact-store claim
-files, the HA liveness lease) stamps :func:`process_start_time` at
+Every file-based ownership record in the repo (the artifact store's
+claim files) stamps :func:`process_start_time` at
 creation and checks :func:`same_process` at adoption time.  On
 platforms without ``/proc`` the start time reads as None and liveness
 degrades gracefully to the plain pid probe.

@@ -14,10 +14,6 @@
   claim-file cross-process single-flight,
 * :mod:`~repro.service.wal` — the request-lifecycle write-ahead log
   that lets a killed server replay unfinished requests on restart,
-* :mod:`~repro.service.ha` — the liveness lease behind warm-standby
-  failover (acquire / heartbeat / release-with-handoff),
-* :mod:`~repro.service.governor` — resource-pressure admission
-  control (shed before ENOSPC/OOM, read-only degraded mode),
 * :mod:`~repro.service.chaos` — deterministic fault injection and
   the recovery scenarios behind ``repro chaos``,
 * :mod:`~repro.service.http` — the stdlib HTTP front-end behind
@@ -57,8 +53,6 @@ __all__ = [
     "ProcessPoolBackend",
     "BuildResult",
     "RequestLog",
-    "Lease",
-    "ResourceGovernor",
     "ChaosPlan",
     "ChaosSpec",
     "run_scenario",
@@ -76,8 +70,6 @@ _LAZY = {
     "ProcessPoolBackend": "repro.service.backend",
     "BuildResult": "repro.service.backend",
     "RequestLog": "repro.service.wal",
-    "Lease": "repro.service.ha",
-    "ResourceGovernor": "repro.service.governor",
     "ChaosPlan": "repro.service.chaos",
     "ChaosSpec": "repro.service.chaos",
     "run_scenario": "repro.service.chaos",

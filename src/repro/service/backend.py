@@ -377,18 +377,6 @@ class ProcessPoolBackend:
         with self._lock:
             return self._blame.quarantined
 
-    def worker_pids(self) -> tuple:
-        """Pids of the current pool generation's worker processes.
-
-        For the resource governor's RSS probe; empty between
-        generations or before the first dispatch.
-        """
-        with self._lock:
-            pool = self._pool
-            processes = getattr(pool, "_processes", None) if pool \
-                else None
-            return tuple(processes.keys()) if processes else ()
-
     def stats_dict(self) -> dict:
         with self._lock:
             data = self.stats.to_dict()

@@ -33,7 +33,6 @@ import errno
 import json
 import os
 import signal
-import socket
 import threading
 import time
 from collections import Counter
@@ -43,7 +42,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.bist.march import IFA_9
 from repro.core.config import RamConfig
-from repro.core.errors import ConfigError, ServiceUnavailable
+from repro.core.errors import ConfigError
 from repro.service.backend import ProcessPoolBackend
 from repro.service.bundle import build_bundle, bundle_key
 from repro.service.store import MANIFEST, STORE_VERSION, ArtifactStore, _sha256
@@ -400,153 +399,6 @@ def _scenario_wal_replay(workdir: Path, check: _Checks) -> None:
     survivor.close()
 
 
-def _scenario_lease_steal(workdir: Path, check: _Checks) -> None:
-    """A live holder's lease must resist theft; a dead-and-recycled
-    holder's lease must be adopted immediately (no TTL wait)."""
-    from repro.core.liveness import process_start_time
-    from repro.service.ha import Lease
-
-    path = workdir / "primary.lease"
-    # A live foreign holder: pid 1 (always alive), heartbeating now.
-    foreign = {"pid": 1, "host": socket.gethostname(),
-               "start": process_start_time(1),
-               "time": time.time(), "epoch": 3, "state": "active"}
-    path.write_text(json.dumps(foreign), encoding="utf-8")
-    thief = Lease(path, ttl_s=60.0)
-    check("a fresh lease held by a live process resists theft",
-          not thief.acquire())
-    check("the holder's record survived the theft attempt",
-          (thief.read() or {}).get("pid") == 1)
-    # Same pid number, *different* start time: the owner died and the
-    # kernel recycled its pid.  Using our own (live) pid with a wrong
-    # start simulates that deterministically — the lease must read as
-    # expired with its TTL nowhere near spent.
-    recycled = dict(foreign)
-    recycled["pid"] = os.getpid()
-    recycled["start"] = (process_start_time(os.getpid()) or 0) + 9999
-    recycled["time"] = time.time()
-    path.write_text(json.dumps(recycled), encoding="utf-8")
-    check("a recycled-pid record reads as expired before its TTL",
-          thief.expired())
-    check("the orphaned lease was adopted", thief.acquire())
-    record = thief.read() or {}
-    check("adoption advanced the epoch", record.get("epoch") == 4)
-    check("the adopter now owns the lease", thief.owned())
-    thief.release(handoff=True)
-    check("handoff release is visible to the next watcher",
-          (thief.read() or {}).get("state") == "released")
-
-
-def _scenario_drain_hang(workdir: Path, check: _Checks) -> None:
-    """Drain with a build wedged in flight: the lease must stay held
-    (no premature handoff) until the build completes, then release."""
-    from repro.service.ha import Lease
-    from repro.service.server import MacroServer
-    from repro.service.wal import RequestLog
-
-    reference = _reference_bundle()
-    gate = threading.Event()
-
-    def gated_builder(config, march, signoff=None, store=None,
-                      stage_cache=None):
-        gate.wait(60.0)
-        return (dict(reference), False,
-                bundle_key(config, march, signoff))
-
-    lease = Lease(workdir / "primary.lease", ttl_s=60.0)
-    server = MacroServer(store=ArtifactStore(workdir / "store"),
-                         workers=2, builder=gated_builder,
-                         wal=RequestLog(workdir / "requests.wal"),
-                         lease=lease)
-    try:
-        future = server.submit(_CONFIG, IFA_9)
-        drainer = threading.Thread(target=server.drain, daemon=True)
-        drainer.start()
-        deadline = time.monotonic() + 10.0
-        while not server.draining and time.monotonic() < deadline:
-            time.sleep(0.01)
-        check("drain stopped admissions immediately",
-              server.draining)
-        try:
-            server.submit(_CONFIG, IFA_9)
-            check("draining server refused new work", False)
-        except ServiceUnavailable as error:
-            check("draining server refused new work",
-                  error.reason == "draining")
-        check("drain waits for the wedged build (lease still active)",
-              drainer.is_alive()
-              and (lease.read() or {}).get("state") == "active")
-        gate.set()
-        drainer.join(timeout=60.0)
-        check("drain completed once the build finished",
-              not drainer.is_alive())
-        check("the in-flight build was finished, not abandoned",
-              future.result(timeout=10.0).artifacts == reference)
-        check("lease handed off only after the drain",
-              (lease.read() or {}).get("state") == "released")
-        successor = Lease(workdir / "primary.lease", ttl_s=60.0)
-        check("a successor can adopt the released lease",
-              successor.acquire())
-        deadline = time.monotonic() + 5.0
-        while server._wal.pending() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        check("wal holds no pending admits after the drain",
-              server._wal.pending() == [])
-    finally:
-        server.shutdown()
-
-
-def _scenario_disk_pressure(workdir: Path, check: _Checks) -> None:
-    """Walk free disk down a scripted pressure curve: the server must
-    shed (503 + Retry-After), then degrade to read-only store hits,
-    then recover — and never die with ENOSPC."""
-    from repro.service.governor import ResourceGovernor
-    from repro.service.server import MacroServer
-
-    gib = 1024 ** 3
-    levels = {"free": 10 * gib}
-    governor = ResourceGovernor(
-        workdir / "store", disk_reserve_bytes=gib,
-        sample_interval_s=0.0, retry_after_s=2.5,
-        disk_probe=lambda: levels["free"])
-    server = MacroServer(store=ArtifactStore(workdir / "store"),
-                         workers=2, governor=governor)
-    try:
-        warm = server.compile(_CONFIG, IFA_9)
-        check("plenty of disk: the build ran clean",
-              warm.artifacts == _reference_bundle())
-        levels["free"] = 512 * 1024 ** 2  # below reserve, above floor
-        try:
-            server.submit(_CONFIG, IFA_9)
-            check("pressure shed the request with 503 advice", False)
-        except ServiceUnavailable as error:
-            check("pressure shed the request with 503 advice",
-                  error.reason == "resource_pressure"
-                  and error.retry_after_s > 0)
-        levels["free"] = 100 * 1024 ** 2  # below the floor
-        hit = server.compile(_CONFIG, IFA_9)
-        check("read-only mode still serves warm store hits",
-              hit.cached and hit.artifacts == _reference_bundle())
-        cold = RamConfig(words=128, bpw=8, bpc=4, strap_every=8)
-        try:
-            server.submit(cold, IFA_9)
-            check("read-only mode refused the cold build", False)
-        except ServiceUnavailable as error:
-            check("read-only mode refused the cold build",
-                  error.reason == "resource_pressure")
-        levels["free"] = 10 * gib
-        again = server.compile(cold, IFA_9)
-        check("admissions resumed when space freed (no ENOSPC death)",
-              not again.cached and bool(again.artifacts))
-        stats = server.stats()
-        check("stats exposed the shed count and governor state",
-              stats["shed"] >= 2
-              and stats["governor"]["state"] == "admitting"
-              and stats["governor"]["transitions"] >= 3)
-    finally:
-        server.shutdown()
-
-
 def _scenario_batch_worker_kill(workdir: Path, check: _Checks) -> None:
     """A worker SIGKILLed mid-batch must cost only a retry of its own
     item: every item in the batch completes, bytes stay identical,
@@ -592,139 +444,6 @@ def _scenario_batch_worker_kill(workdir: Path, check: _Checks) -> None:
         server.shutdown()
 
 
-def _scenario_failover(workdir: Path, check: _Checks) -> None:
-    """The acceptance scenario: a real primary + warm standby as
-    subprocesses, a 16-config batch in flight, ``kill -9`` on the
-    primary.  The standby must promote, the resubmitted batch must
-    complete with zero lost requests, and the served bytes must be
-    identical to a clean single-node compile."""
-    import re
-    import subprocess
-    import sys
-
-    import repro
-    from repro.core.stages import StageCache
-    from repro.service.http import ServiceClient
-
-    src = Path(repro.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (os.fspath(src) + os.pathsep
-                         + env.get("PYTHONPATH", ""))
-    store_dir = workdir / "store"
-    wal_path = workdir / "requests.wal"
-    lease_path = workdir / "primary.lease"
-    port_re = re.compile(r"http://[^:]+:(\d+)")
-
-    def launch(extra):
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--cache-dir", os.fspath(store_dir),
-             "--wal", os.fspath(wal_path),
-             "--workers", "2", "--batch-limit", "32", *extra],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env, cwd=os.fspath(workdir))
-
-    def read_port(process):
-        deadline = time.monotonic() + 120.0
-        while time.monotonic() < deadline:
-            line = process.stdout.readline()
-            if not line:
-                return None  # the server died before binding
-            match = port_re.search(line)
-            if match:
-                return int(match.group(1))
-        return None
-
-    primary = launch(["--lease", os.fspath(lease_path),
-                      "--lease-ttl-s", "2"])
-    standby = None
-    try:
-        primary_port = read_port(primary)
-        if not check("primary came up", primary_port is not None):
-            return
-        standby = launch(["--standby-of", os.fspath(lease_path),
-                          "--lease-ttl-s", "2"])
-        standby_port = read_port(standby)
-        if not check("standby came up", standby_port is not None):
-            return
-        standby_client = ServiceClient(port=standby_port, retries=2,
-                                       timeout_s=120.0)
-        check("standby identifies itself before the failover",
-              standby_client.healthz().get("role") == "standby")
-        configs = [RamConfig(words=words, bpw=8, bpc=4, spares=spares,
-                             gate_size=gate, strap_every=strap)
-                   for words in (64, 128) for spares in (4, 8)
-                   for gate in (1, 2) for strap in (8, 16)]
-        client = ServiceClient(port=primary_port, retries=10,
-                               timeout_s=300.0, backoff_cap_s=2.0,
-                               failover=[("127.0.0.1", standby_port)])
-        received = 0
-        interrupted = False
-        try:
-            for record in client.compile_batch(configs):
-                received += 1
-                if received == 1:
-                    primary.kill()  # SIGKILL, mid-batch
-        except ServiceUnavailable as error:
-            interrupted = error.reason == "interrupted"
-        check("kill -9 tore the stream mid-batch",
-              interrupted and received < len(configs))
-        promoted = False
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            try:
-                if standby_client.healthz().get("role") == "primary":
-                    promoted = True
-                    break
-            except Exception:
-                pass
-            time.sleep(0.2)
-        if not check("standby promoted itself", promoted):
-            return
-        # Same client, same batch: the failover list routes it to the
-        # promoted standby; journaled admits make the resubmission
-        # idempotent.
-        results = {}
-        for record in client.compile_batch(configs):
-            results[record["index"]] = record
-        check("resubmitted batch completed every item",
-              len(results) == len(configs)
-              and all(r["status"] == "ok" for r in results.values()))
-        if len(results) != len(configs):
-            return
-        # Byte-identity against a clean, single-process compile.
-        stage_cache = StageCache()
-        for index in (0, len(configs) - 1):
-            local = build_bundle(configs[index], IFA_9,
-                                 stage_cache=stage_cache)
-            remote = standby_client.fetch_artifact(
-                results[index]["key"], "macro.cif")
-            check(f"item {index} byte-identical to a clean build",
-                  remote == local["macro.cif"])
-        audit = ArtifactStore(store_dir)
-        check("every served key verifies on disk (no corrupt reads)",
-              all(audit.verify(r["key"]) for r in results.values()))
-        pending = None
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            pending = standby_client.stats().get("wal", {}).get(
-                "pending")
-            if pending == 0:
-                break
-            time.sleep(0.5)
-        check("no WAL entry was lost or left pending", pending == 0)
-    finally:
-        for process in (primary, standby):
-            if process is None:
-                continue
-            if process.poll() is None:
-                process.kill()
-            try:
-                process.communicate(timeout=30.0)
-            except subprocess.TimeoutExpired:
-                pass
-
-
 SCENARIOS: Dict[str, Callable[[Path, _Checks], None]] = {
     "worker_kill": _scenario_worker_kill,
     "worker_hang": _scenario_worker_hang,
@@ -733,11 +452,7 @@ SCENARIOS: Dict[str, Callable[[Path, _Checks], None]] = {
     "enospc": _scenario_enospc,
     "eviction_race": _scenario_eviction_race,
     "wal_replay": _scenario_wal_replay,
-    "lease_steal": _scenario_lease_steal,
-    "drain_hang": _scenario_drain_hang,
-    "disk_pressure": _scenario_disk_pressure,
     "batch_worker_kill": _scenario_batch_worker_kill,
-    "failover": _scenario_failover,
 }
 
 

@@ -17,34 +17,28 @@ The wire format is deliberately small and stdlib-only:
   ``kind`` (``config`` / ``signoff`` / ``crashed`` / ``unavailable``
   / ``build``) — one poison config never fails the batch.  A batch
   larger than the server's ``batch_limit`` is refused whole with 413.
-* ``POST /admin/drain`` — begin a graceful drain + lease handoff;
-  responds 202 immediately (drain finishes in the background).
 * ``GET /artifact/<key>/<name>`` — raw artifact bytes from the store
-  (octet-stream; 404 on a miss).
+  (octet-stream; 400 on a malformed key, 404 on a miss).
 * ``GET /stats`` — the server's JSON metrics (latency percentiles,
-  hit/build/coalesce/reject counts, per-endpoint counters, governor
-  and lease state, store + stage-cache stats).
-* ``GET /healthz`` — liveness + drain state + role + governor state.
+  hit/build/coalesce/reject counts, per-endpoint counters, store +
+  stage-cache stats).
+* ``GET /healthz`` — liveness + drain state.
 * ``GET /readyz`` — readiness: 503 while the server is still
   replaying its WAL backlog from a crashed predecessor (it *serves*
   during replay — readiness is for load balancers deciding where to
   send fresh traffic).
 
-Every response carries ``X-Served-By: primary|standby`` so clients
-(and the failover smoke test) can see who answered.
-
-Status codes: 400 for a bad request (unknown config field, bad march
+Status codes: 400 for a bad request (a body that is not a JSON
+object, a non-list ``include``, unknown config field, bad march
 notation — anything :class:`~repro.core.errors.ConfigError`), 413 for
 an oversized batch, 422 for a build that failed strict signoff, 503
-when backpressure, resource pressure, or draining rejects the
-request, 500 for the unexpected.  Every 503 carries a ``Retry-After``
-header (seconds); :class:`ServiceClient` honors it with bounded,
-jittered backoff instead of failing fast.
+when backpressure or draining rejects the request, 500 for the
+unexpected.  Every 503 carries a ``Retry-After`` header (seconds);
+:class:`ServiceClient` honors it with bounded, jittered backoff
+instead of failing fast.
 
 :class:`ServiceClient` is the matching stdlib client the campaign
-runtime and the benchmarks use.  It takes a ``failover`` list of
-alternate endpoints and rotates onto them when a connection is
-refused or reset — the transparent-failover half of the HA story.
+runtime and the benchmarks use.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ import time
 from concurrent.futures import as_completed
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.bist.march import MarchTest, parse_march
 from repro.bist import ALL_TESTS
@@ -127,7 +121,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Served-By", self.macro_server.role)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -144,13 +137,9 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/stats":
             self._reply(200, self.macro_server.stats())
         elif self.path == "/healthz":
-            governor = self.macro_server.governor
             self._reply(200, {
                 "status": "draining" if self.macro_server.draining
                 else "ok",
-                "role": self.macro_server.role,
-                "governor": (governor.state() if governor is not None
-                             else "admitting"),
             })
         elif self.path == "/readyz":
             if self.macro_server.ready:
@@ -177,15 +166,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._handle_batch()
             finally:
                 self._count_request()
-        elif self.path == "/admin/drain":
-            # Drain blocks until in-flight builds finish; answer 202
-            # now and let it run — /healthz flips to "draining" and
-            # the lease release is the observable completion signal.
-            threading.Thread(target=self.macro_server.drain,
-                             name="macroserver-drain",
-                             daemon=True).start()
-            self._reply(202, {"status": "draining",
-                              "role": self.macro_server.role})
         else:
             self._reply(404, {"error": f"no such endpoint {self.path}"})
 
@@ -203,14 +183,31 @@ class _Handler(BaseHTTPRequestHandler):
             threading.Thread(target=self.server.shutdown,
                              daemon=True).start()
 
+    def _read_request(self) -> Tuple[dict, Tuple[str, ...]]:
+        """The JSON body and its ``include`` names, validated.
+
+        Raises:
+            ConfigError: the body is not a JSON object, or ``include``
+                is not a list of artifact names.
+            ValueError: the body is not JSON at all.
+        """
+        length = int(self.headers.get("Content-Length", 0))
+        request = json.loads(self.rfile.read(length) or b"{}")
+        if not isinstance(request, dict):
+            raise ConfigError("the request body must be a JSON object")
+        include = request.get("include", [])
+        if not isinstance(include, list) or not all(
+                isinstance(name, str) for name in include):
+            raise ConfigError("'include' must be a list of artifact "
+                              "names")
+        return request, tuple(include)
+
     def _handle_compile(self) -> None:
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            request = json.loads(self.rfile.read(length) or b"{}")
+            request, include = self._read_request()
             config = RamConfig.from_dict(request.get("config", {}))
             march = resolve_march(request.get("march", "IFA-9"))
             signoff = request.get("signoff")
-            include = tuple(request.get("include", ()))
             response = self.macro_server.compile(
                 config, march, signoff=signoff)
         except ServiceUnavailable as error:
@@ -232,11 +229,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_batch(self) -> None:
         """``POST /compile_batch``: admit N items, stream NDJSON."""
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            request = json.loads(self.rfile.read(length) or b"{}")
+            request, include = self._read_request()
             items = request.get("items")
-            include = tuple(request.get("include", ()))
-        except (ValueError, json.JSONDecodeError) as error:
+        except (ConfigError, ValueError) as error:
             self._reply(400, {"error": f"{type(error).__name__}: "
                                        f"{error}"})
             return
@@ -296,7 +291,6 @@ class _Handler(BaseHTTPRequestHandler):
         # reads NDJSON lines until the done sentinel.
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("X-Served-By", self.macro_server.role)
         self.end_headers()
         ok = failed = 0
         try:
@@ -347,7 +341,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         key, name = parts[2], parts[3]
         store = self.macro_server.store
-        artifacts = store.get(key) if store is not None else None
+        try:
+            artifacts = store.get(key) if store is not None else None
+        except ConfigError as error:  # a malformed key
+            self._reply(400, {"error": str(error)})
+            return
         if artifacts is None or name not in artifacts:
             self._reply(404, {"error": f"no artifact {name!r} under "
                                        f"key {key[:16]}"})
@@ -356,7 +354,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/octet-stream")
         self.send_header("Content-Length", str(len(data)))
-        self.send_header("X-Served-By", self.macro_server.role)
         self.end_headers()
         self.wfile.write(data)
 
@@ -401,16 +398,13 @@ class ServiceClient:
     ``backoff_cap_s`` and jittered up to +25% so a herd of rejected
     clients does not return in lockstep — before giving up with
     :class:`ServiceUnavailable`.  A **refused or reset connection**
-    (server restarting, primary killed) is retried with the same
-    bounded jittered backoff, rotating through ``failover`` endpoints
-    so a promoted standby picks up the traffic transparently.
-    ``retries=0`` restores fail-fast.
+    (server restarting) is retried with the same bounded jittered
+    backoff.  ``retries=0`` restores fail-fast.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8080,
                  timeout_s: float = 600.0, retries: int = 3,
-                 backoff_cap_s: float = 5.0,
-                 failover: Sequence[Tuple[str, int]] = ()) -> None:
+                 backoff_cap_s: float = 5.0) -> None:
         if retries < 0:
             raise ConfigError("retries must be >= 0")
         if backoff_cap_s <= 0:
@@ -420,51 +414,41 @@ class ServiceClient:
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_cap_s = backoff_cap_s
-        self.endpoints = [(host, port)] + [
-            (str(h), int(p)) for h, p in failover]
-        self._endpoint_index = 0
 
     def _open_stream(self, method: str, path: str,
                      body: Optional[dict] = None):
         """Issue one request; return ``(status, reply, connection,
         headers)`` with the response body left unread (the batch
         endpoint streams it).  Connection-level failures — refused,
-        reset, broken pipe — rotate to the next endpoint and retry
-        with bounded jittered backoff; exhaustion raises
-        :class:`ServiceUnavailable` (reason ``unreachable``).
+        reset, broken pipe — are retried with bounded jittered
+        backoff; exhaustion raises :class:`ServiceUnavailable` (reason
+        ``unreachable``).
         """
         last_error: Optional[Exception] = None
         for attempt in range(self.retries + 1):
-            endpoint = self.endpoints[self._endpoint_index]
             try:
-                return self._attempt(endpoint, method, path, body)
+                return self._attempt(method, path, body)
             except (ConnectionResetError, ConnectionRefusedError,
                     BrokenPipeError) as error:
                 last_error = error
-                # A dead endpoint stays dead for a while; try the
-                # next one first on the following attempt.
-                self._endpoint_index = (
-                    (self._endpoint_index + 1) % len(self.endpoints))
                 if attempt >= self.retries:
                     break
                 delay = min(0.05 * (2 ** attempt), self.backoff_cap_s)
                 time.sleep(delay + random.uniform(0.0, 0.25 * delay))
         raise ServiceUnavailable(
-            f"no endpoint answered {method} {path} after "
-            f"{self.retries + 1} attempt(s) across "
-            f"{len(self.endpoints)} endpoint(s): {last_error}",
+            f"{self.host}:{self.port} did not answer {method} {path} "
+            f"after {self.retries + 1} attempt(s): {last_error}",
             reason="unreachable")
 
-    def _attempt(self, endpoint: Tuple[str, int], method: str,
-                 path: str, body: Optional[dict]):
-        """One connection attempt to one endpoint; connection-level
-        errors propagate for :meth:`_open_stream` to retry."""
+    def _attempt(self, method: str, path: str, body: Optional[dict]):
+        """One connection attempt; connection-level errors propagate
+        for :meth:`_open_stream` to retry."""
         payload = None
         headers = {}
         if body is not None:
             payload = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        connection = HTTPConnection(endpoint[0], endpoint[1],
+        connection = HTTPConnection(self.host, self.port,
                                     timeout=self.timeout_s)
         try:
             connection.request(method, path, body=payload,
@@ -543,7 +527,7 @@ class ServiceClient:
         have the full compile payload; ``"failed"`` lines have
         ``kind`` + ``error``).  The server's ``done`` sentinel is
         consumed, not yielded.  A stream that ends *without* the
-        sentinel (primary killed mid-batch) raises
+        sentinel (server killed mid-batch) raises
         :class:`ServiceUnavailable` (reason ``interrupted``) — every
         admitted item is WAL-journaled and content-addressed, so
         resubmitting the same batch is the correct, idempotent move.
@@ -603,13 +587,6 @@ class ServiceClient:
         finally:
             connection.close()
 
-    def drain(self) -> dict:
-        """Ask the server to drain + hand off its lease; 202 payload."""
-        status, payload, _ = self._request("POST", "/admin/drain")
-        if status not in (200, 202):
-            raise ReproError(payload.get("error", f"HTTP {status}"))
-        return payload
-
     def fetch_artifact(self, key: str, name: str) -> bytes:
         """One artifact's raw bytes via ``GET /artifact/…``."""
         status, reply, connection, _ = self._open_stream(
@@ -624,7 +601,7 @@ class ServiceClient:
                     "error", f"HTTP {status}")
             except json.JSONDecodeError:
                 message = f"HTTP {status}"
-            if status == 404:
+            if status in (400, 404):
                 raise ConfigError(message)
             raise ReproError(message)
         return data

@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bist.march import IFA_9, MarchTest, parse_march
 from repro.core.config import RamConfig
-from repro.core.durability import fsync_dir
 from repro.core.errors import ConfigError, ServiceUnavailable
 from repro.core.stages import StageCache
 from repro.service.bundle import bundle_key, compile_cached
@@ -129,22 +128,7 @@ class MacroServer:
             predecessor are replayed in the background at startup
             (the server serves normally while replaying; ``ready``
             flips true when the backlog drains).
-        governor: optional
-            :class:`~repro.service.governor.ResourceGovernor`; its
-            verdict gates every admission — shedding raises
-            :class:`ServiceUnavailable` with its advice, read_only
-            degrades the server to serving store hits.
-        lease: optional :class:`~repro.service.ha.Lease`.  A primary
-            acquires it at construction (refusal is fatal: two
-            primaries on one store is split-brain) and heartbeats it;
-            a standby watches it and promotes itself on expiry or
-            handoff.
-        role: ``"primary"`` (default) builds; ``"standby"`` serves
-            store hits read-only until :meth:`promote` (requires
-            ``store`` and ``lease``, never opens the WAL early — the
-            primary owns that file until the handoff).
         batch_limit: max items one :meth:`submit_batch` may carry.
-        standby_poll_s: lease-watch interval for standbys.
     """
 
     def __init__(
@@ -156,11 +140,7 @@ class MacroServer:
         builder: Optional[Callable] = None,
         backend=None,
         wal=None,
-        governor=None,
-        lease=None,
-        role: str = "primary",
         batch_limit: int = 64,
-        standby_poll_s: float = 0.25,
     ) -> None:
         if workers < 1:
             raise ConfigError("workers must be >= 1")
@@ -171,27 +151,14 @@ class MacroServer:
         if builder is not None and backend is not None:
             raise ConfigError(
                 "builder and backend are mutually exclusive")
-        if role not in ("primary", "standby"):
-            raise ConfigError(
-                f"role must be 'primary' or 'standby', got {role!r}")
-        if role == "standby" and store is None:
-            raise ConfigError(
-                "a standby serves store hits; it needs a store")
-        if role == "standby" and lease is None:
-            raise ConfigError(
-                "a standby watches the primary's lease; pass one")
         self.store = store
         self.workers = workers
         self.queue_limit = queue_limit
         self.batch_limit = batch_limit
-        self.standby_poll_s = standby_poll_s
         self.stage_cache = stage_cache if stage_cache is not None \
             else StageCache()
         self._builder = builder or compile_cached
         self._backend = backend
-        self.governor = governor
-        self.lease = lease
-        self.role = role
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="macroserver")
         # Reentrant: done-callbacks registered under the lock can fire
@@ -209,37 +176,22 @@ class MacroServer:
         self._coalesced = 0
         self._rejected = 0
         self._failures = 0
-        self._shed = 0
-        self._promotions = 0
         self._endpoints: Counter = Counter()
         self._started = time.monotonic()
-        # -- write-ahead log + crash recovery + HA threads --
+        # -- write-ahead log + crash recovery --
         self._wal = wal
         self._wal_replayed = 0
         self._wal_replay_failures = 0
         self._ready = threading.Event()
         self._replay_thread: Optional[threading.Thread] = None
-        self._ha_stop = threading.Event()
-        self._heartbeat_thread: Optional[threading.Thread] = None
-        self._watch_thread: Optional[threading.Thread] = None
-        if role == "primary":
-            if self.lease is not None:
-                if not self.lease.acquire():
-                    raise ServiceUnavailable(
-                        "another primary holds the liveness lease at "
-                        f"{self.lease.path}; start this server as a "
-                        f"standby instead", reason="lease_held")
-                self._start_heartbeat()
-            self._open_wal_and_replay()
+        backlog = wal.open() if wal is not None else []
+        if backlog:
+            self._replay_thread = threading.Thread(
+                target=self._replay, args=(backlog,),
+                name="macroserver-wal-replay", daemon=True)
+            self._replay_thread.start()
         else:
-            # The standby must not open the WAL — the primary owns
-            # that file until promotion.  It is ready immediately: its
-            # whole job is serving store hits from request one.
             self._ready.set()
-            self._watch_thread = threading.Thread(
-                target=self._watch_lease,
-                name="macroserver-lease-watch", daemon=True)
-            self._watch_thread.start()
 
     # -- request path -------------------------------------------------------
 
@@ -248,17 +200,11 @@ class MacroServer:
         """Admit one request; returns the (possibly shared) future.
 
         Raises:
-            ServiceUnavailable: when draining, shedding under resource
-                pressure, degraded/standby with a cold key, or when
-                admitting would exceed ``queue_limit`` (backpressure —
-                retry later).
+            ServiceUnavailable: when draining, or when admitting would
+                exceed ``queue_limit`` (backpressure — retry later).
         """
         key = bundle_key(config, march, signoff)
         t_submit = time.monotonic()
-        # Sample the governor outside the lock: its probes touch disk
-        # and /proc, and a stale-by-one-request verdict is harmless.
-        pressure = (self.governor.state()
-                    if self.governor is not None else "admitting")
         with self._lock:
             if self._draining:
                 self._rejected += 1
@@ -271,21 +217,6 @@ class MacroServer:
                 self._coalesced += 1
                 self._observe_request(existing, t_submit)
                 return existing
-            if self.role == "standby":
-                return self._serve_hit_locked(key, t_submit,
-                                              "standby_miss")
-            if pressure == "read_only":
-                return self._serve_hit_locked(key, t_submit,
-                                              "resource_pressure")
-            if pressure == "shedding":
-                self._requests -= 1
-                self._rejected += 1
-                self._shed += 1
-                raise ServiceUnavailable(
-                    "macro server is shedding load under resource "
-                    "pressure (low disk or high memory); retry later",
-                    reason="resource_pressure",
-                    retry_after_s=self.governor.retry_after_s)
             if self._admitted >= self.queue_limit:
                 self._requests -= 1
                 self._rejected += 1
@@ -355,133 +286,6 @@ class MacroServer:
         with self._lock:
             self._endpoints[name] += 1
 
-    def _serve_hit_locked(self, key: str, t_submit: float,
-                          miss_reason: str) -> "Future[CompileResponse]":
-        """Read-only admission: a store hit or a 503, never a build.
-
-        Shared by the standby role (no build rights until promotion)
-        and the governor's read_only degraded mode (no disk budget
-        left to build with).  Caller holds the lock.
-        """
-        artifacts = self.store.get(key) if self.store is not None \
-            else None
-        if artifacts is None:
-            self._requests -= 1
-            self._rejected += 1
-            if miss_reason == "resource_pressure":
-                self._shed += 1
-                raise ServiceUnavailable(
-                    "disk budget exhausted: serving store hits only "
-                    "until space frees up",
-                    reason="resource_pressure",
-                    retry_after_s=self.governor.retry_after_s)
-            raise ServiceUnavailable(
-                "standby serves cache hits only until promoted; "
-                "retry against the primary or wait for failover",
-                reason="standby_miss")
-        self._store_hits += 1
-        future: "Future[CompileResponse]" = Future()
-        future.set_result(CompileResponse(
-            key=key, cached=True, elapsed_s=0.0, artifacts=artifacts))
-        self._observe_request(future, t_submit)
-        return future
-
-    # -- high availability --------------------------------------------------
-
-    def promote(self) -> bool:
-        """Standby → primary: take the lease, open + replay the WAL.
-
-        Idempotent (promoting a primary returns True immediately).
-        Returns False when a live holder still exists — another
-        standby won the race, or the primary came back; the caller
-        keeps watching.
-        """
-        with self._lock:
-            if self.role == "primary":
-                return True
-            if self._draining:
-                return False
-            if self.lease is not None and not self.lease.acquire():
-                return False
-            self.role = "primary"
-            self._promotions += 1
-        if self.lease is not None:
-            self._start_heartbeat()
-        self._open_wal_and_replay()
-        return True
-
-    def drain(self) -> None:
-        """Stop admitting, finish in-flight work, then hand off.
-
-        The ordering is the contract: new admissions stop first, every
-        in-flight build (and the replay backlog) completes, the WAL is
-        compacted and the store directory fsynced, and only *then*
-        does the lease flip to ``released`` — so a promoting standby
-        inherits a quiescent journal and a durable store.  The HTTP
-        front-end stays up afterwards for ``/stats`` and drained-state
-        health checks.
-        """
-        with self._lock:
-            if self._draining:
-                return
-            self._draining = True
-            inflight = list(self._inflight.values())
-        if self._replay_thread is not None:
-            self._replay_thread.join()
-        for future in inflight:
-            try:
-                future.result()
-            except Exception:
-                pass  # the submitter owns the failure
-        if self._wal is not None and self._wal.is_open:
-            self._wal.compact()
-        if self.store is not None:
-            fsync_dir(self.store.root)
-        self._ha_stop.set()
-        if self._heartbeat_thread is not None:
-            self._heartbeat_thread.join()
-        if self.lease is not None:
-            self.lease.release(handoff=True)
-
-    def _start_heartbeat(self) -> None:
-        self._heartbeat_thread = threading.Thread(
-            target=self._heartbeat_loop,
-            name="macroserver-lease-heartbeat", daemon=True)
-        self._heartbeat_thread.start()
-
-    def _heartbeat_loop(self) -> None:
-        interval = max(self.lease.ttl_s / 3.0, 0.05)
-        while not self._ha_stop.wait(interval):
-            with self._lock:
-                if self._draining:
-                    return
-                if not self.lease.heartbeat():
-                    # Split-brain guard: someone adopted the lease
-                    # while we were presumed dead (wedged, paused).
-                    # There is a new primary; stop admitting now.
-                    self._draining = True
-                    return
-
-    def _watch_lease(self) -> None:
-        """Standby loop: promote when the lease expires or releases."""
-        while not self._ha_stop.wait(self.standby_poll_s):
-            with self._lock:
-                if self._draining or self.role != "standby":
-                    return
-            if self.lease.expired() and self.promote():
-                return
-
-    def _open_wal_and_replay(self) -> None:
-        backlog = self._wal.open() if self._wal is not None else []
-        if backlog:
-            self._ready.clear()
-            self._replay_thread = threading.Thread(
-                target=self._replay, args=(backlog,),
-                name="macroserver-wal-replay", daemon=True)
-            self._replay_thread.start()
-        else:
-            self._ready.set()
-
     # -- lifecycle ----------------------------------------------------------
 
     def shutdown(self, drain: bool = True) -> None:
@@ -494,7 +298,6 @@ class MacroServer:
         with self._lock:
             self._draining = True
             inflight = list(self._inflight.values())
-        self._ha_stop.set()
         if drain:
             if self._replay_thread is not None:
                 self._replay_thread.join()
@@ -506,13 +309,8 @@ class MacroServer:
             self._pool.shutdown(wait=True)
         else:
             self._pool.shutdown(wait=False, cancel_futures=True)
-        for thread in (self._heartbeat_thread, self._watch_thread):
-            if thread is not None:
-                thread.join(timeout=5.0)
         if self._backend is not None:
             self._backend.shutdown()
-        if self.lease is not None and drain:
-            self.lease.release(handoff=True)
         if self._wal is not None:
             self._wal.close()
 
@@ -546,7 +344,6 @@ class MacroServer:
         with self._lock:
             data = {
                 "uptime_s": round(time.monotonic() - self._started, 3),
-                "role": self.role,
                 "workers": self.workers,
                 "queue_limit": self.queue_limit,
                 "batch_limit": self.batch_limit,
@@ -559,8 +356,6 @@ class MacroServer:
                 "coalesced": self._coalesced,
                 "rejected": self._rejected,
                 "failures": self._failures,
-                "shed": self._shed,
-                "promotions": self._promotions,
                 "endpoints": dict(self._endpoints),
                 "request_latency": latency_summary(
                     self._request_latencies),
@@ -577,10 +372,6 @@ class MacroServer:
             data["backend"] = self._backend.stats_dict()
         if self.store is not None:
             data["store"] = self.store.stats.to_dict()
-        if self.governor is not None:
-            data["governor"] = self.governor.to_dict()
-        if self.lease is not None:
-            data["lease"] = self.lease.describe()
         return data
 
     # -- internals ----------------------------------------------------------

@@ -146,23 +146,12 @@ class RequestLog:
         with self._lock:
             return list(self._pending.values())
 
-    @property
-    def is_open(self) -> bool:
-        """Whether this log currently owns its file handle.
-
-        A warm standby carries an *unopened* RequestLog until it
-        promotes — the primary owns the file until then — so drain and
-        stats paths must be able to ask before touching it.
-        """
-        with self._lock:
-            return self._handle is not None
-
     def compact(self) -> None:
         """Rewrite the file down to the header + pending admits.
 
         Refused before :meth:`open`: compacting an unloaded log would
         rewrite the file from an *empty* pending set, destroying a
-        live primary's journal out from under it.
+        live server's journal out from under it.
         """
         with self._lock:
             if self._handle is None:

@@ -105,25 +105,16 @@ class TestRequestLog:
         log.close()
         assert second != first
 
-    def test_is_open_tracks_the_handle(self, tmp_path):
-        log = RequestLog(tmp_path / "wal.jsonl")
-        assert log.is_open is False
-        log.open()
-        assert log.is_open is True
-        log.close()
-        assert log.is_open is False
-
     def test_compact_before_open_is_refused(self, tmp_path):
         """Compacting an unloaded log would rewrite the file from an
-        empty pending set — destroying a live primary's journal (the
-        standby holds an unopened RequestLog until promotion)."""
+        empty pending set — destroying a live server's journal."""
         path = tmp_path / "wal.jsonl"
-        with RequestLog(path) as primary:
-            admit_one(primary)
-            standby = RequestLog(path)
+        with RequestLog(path) as owner:
+            admit_one(owner)
+            stranger = RequestLog(path)
             with pytest.raises(ConfigError, match="before open"):
-                standby.compact()
-        # The primary's admit survived the refused compaction.
+                stranger.compact()
+        # The owner's admit survived the refused compaction.
         assert [r["key"] for r in RequestLog(path).open()] == [KEY]
 
     def test_compaction_racing_admits(self, tmp_path):
