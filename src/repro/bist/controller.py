@@ -22,7 +22,7 @@ themselves") via the ``passes`` argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Protocol, Tuple
+from typing import Dict, List, Protocol, Tuple
 
 from repro.bist.addgen import AddGen
 from repro.bist.datagen import DataGen
@@ -329,6 +329,12 @@ class TrplaController:
     condition signals that result (address done, background done, fail,
     retention done) feed the PLA's branch terms to produce the next
     state — exactly the settle-then-register behaviour of the silicon.
+
+    The PLA is read through its compiled :attr:`Trpla.table`: the state
+    register and the conditions form one packed input word (state bits
+    low, conditions above, in :attr:`AssembledPla.input_names` order),
+    and control outputs are tested with bitmasks over the packed output
+    word, so a clock costs two table indexes.
     """
 
     def __init__(self, march: MarchTest, bpw: int, target: TestTarget,
@@ -346,15 +352,18 @@ class TrplaController:
         self.program = program
         self.assembled = assemble(program)
         self.pla = Trpla(self.assembled.and_plane, self.assembled.or_plane)
-        self._out_index = {
-            name: i for i, name in enumerate(self.assembled.output_names)
-        }
-        self._cond_names = program.condition_inputs()
+        self._table = self.pla.table
         self.state_bits = self.assembled.state_bits
-        self.state = self.assembled.state_encoding["idle"]
-        self._decode = {
-            code: name for name, code in self.assembled.state_encoding.items()
-        }
+        self._state_mask = (1 << self.state_bits) - 1
+        # A signal the program never uses gets mask 0: never asserted.
+        outputs = _bit_masks(self.assembled.output_names)
+        inputs = _bit_masks(self.assembled.input_names)
+        self._out = {name: outputs.get(name, 0) for name in _CONTROLS}
+        self._cond = {name: inputs.get(name, 0) for name in _CONDITIONS}
+        encoding = self.assembled.state_encoding
+        self.state = encoding["idle"]
+        self._final = {encoding["pass_done"]: False,
+                       encoding["repair_fail"]: True}
         address_bits = max(1, (target.word_count - 1).bit_length())
         self.addgen = AddGen(address_bits, target.word_count)
         self.datagen = DataGen(bpw)
@@ -371,17 +380,12 @@ class TrplaController:
         if self.finished:
             return
         self.cycles += 1
-        outputs = self._query(conditions={})
-        conds = self._execute(outputs, go)
-        next_outputs = self._query(conditions=conds)
-        next_code = 0
-        for b in range(self.state_bits):
-            if next_outputs[b]:
-                next_code |= 1 << b
-        self.state = next_code
-        state_name = self._decode[self.state]
-        if state_name in ("pass_done", "repair_fail"):
-            self.result.repair_unsuccessful = state_name == "repair_fail"
+        table = self._table
+        conds = self._execute(table[self.state], go)
+        self.state = table[self.state | conds] & self._state_mask
+        unsuccessful = self._final.get(self.state)
+        if unsuccessful is not None:
+            self.result.repair_unsuccessful = unsuccessful
             self.result.passes_run = self.pass_no
             self.finished = True
 
@@ -397,38 +401,29 @@ class TrplaController:
 
     # -- internals -----------------------------------------------------------
 
-    def _query(self, conditions) -> Tuple[int, ...]:
-        inputs = [
-            (self.state >> b) & 1 for b in range(self.state_bits)
-        ]
-        inputs += [conditions.get(name, 0) for name in self._cond_names]
-        return self.pla.evaluate(inputs)
-
-    def _on(self, outputs: Tuple[int, ...], name: str) -> bool:
-        idx = self._out_index.get(name)
-        return bool(idx is not None and outputs[idx])
-
-    def _execute(self, outputs: Tuple[int, ...], go: int) -> dict:
-        on = lambda name: self._on(outputs, name)  # noqa: E731
-        conds = {"go": go}
-        if on("tlb_reset") and self.fresh:
+    def _execute(self, outputs: int, go: int) -> int:
+        """Carry out one clock's control outputs; returns the packed
+        condition inputs they produce."""
+        out, cond = self._out, self._cond
+        conds = cond["go"] if go else 0
+        if outputs & out["tlb_reset"] and self.fresh:
             self.target.reset_for_test()
-        if on("datagen_reset"):
+        if outputs & out["datagen_reset"]:
             self.datagen.reset()
-        if on("phase_adv"):
+        if outputs & out["phase_adv"]:
             self.pass_no += 1
             self.target.set_repair_mode(True)
-        if on("addr_reset_up"):
+        if outputs & out["addr_reset_up"]:
             self.addgen.reset(up=True)
-        if on("addr_reset_down"):
+        if outputs & out["addr_reset_down"]:
             self.addgen.reset(up=False)
-        if on("wait_retention"):
+        if outputs & out["wait_retention"]:
             self.target.retention_wait()
-            conds["retention_done"] = 1
+            conds |= cond["retention_done"]
 
-        fail = 0
-        data_bit = 1 if on("data_inv") else 0
-        if on("op_read") or on("op_write"):
+        is_read = bool(outputs & out["op_read"])
+        if is_read or outputs & out["op_write"]:
+            data_bit = 1 if outputs & out["data_inv"] else 0
             address = self.addgen.value
             self.result.op_count += 1
             if self.record_ops:
@@ -437,25 +432,40 @@ class TrplaController:
                         self.pass_no,
                         self.datagen.index,
                         address,
-                        on("op_read"),
+                        is_read,
                         data_bit,
                     )
                 )
-            if on("op_read"):
+            if is_read:
                 word = self.target.read(address)
                 if self.datagen.compare(word, data_bit):
-                    fail = 1
+                    conds |= cond["fail"]
                     self.result.fail_count += 1
-                    if on("tlb_record"):
+                    if outputs & out["tlb_record"]:
                         self.target.record_fail(address)
             else:
                 self.target.write(address, self.datagen.pattern(data_bit))
 
-        conds["fail"] = fail
-        conds["addr_done"] = 1 if self.addgen.done else 0
-        conds["bg_done"] = 1 if self.datagen.done else 0
-        if on("addr_step"):
+        if self.addgen.done:
+            conds |= cond["addr_done"]
+        if self.datagen.done:
+            conds |= cond["bg_done"]
+        if outputs & out["addr_step"]:
             self.addgen.step()
-        if on("datagen_shift"):
+        if outputs & out["datagen_shift"]:
             self.datagen.step()
         return conds
+
+
+#: Control outputs and condition inputs the controller acts on.
+_CONTROLS = (
+    "tlb_reset", "datagen_reset", "phase_adv", "addr_reset_up",
+    "addr_reset_down", "wait_retention", "op_read", "op_write",
+    "data_inv", "tlb_record", "addr_step", "datagen_shift",
+)
+_CONDITIONS = ("go", "retention_done", "fail", "addr_done", "bg_done")
+
+
+def _bit_masks(names: Tuple[str, ...]) -> Dict[str, int]:
+    """Signal name -> its bit in a packed PLA word."""
+    return {name: 1 << i for i, name in enumerate(names)}

@@ -7,7 +7,10 @@ control code is read in at runtime by BISRAMGEN from two input files
 (one for the AND plane, the other for the OR plane)."
 
 The behavioural model evaluates the personality in sum-of-products
-form.  In the silicon, each plane is a NOR array and the product terms
+form (:meth:`Trpla.evaluate`, the reference).  :attr:`Trpla.table`
+compiles the same personality once into a dense truth table over the
+packed input word, which is what the clocked controller indexes.  In
+the silicon, each plane is a NOR array and the product terms
 appear active-low between the planes; De Morgan makes the NOR-NOR pair
 compute exactly the AND-OR evaluated here, so the model and the
 :func:`~repro.cells.pla.pla_cell` layout agree cycle for cycle.
@@ -20,8 +23,20 @@ simple and straightforward matter" workflow.
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
 from typing import List, Sequence, Tuple
+
+#: Widest PLA :attr:`Trpla.table` compiles (a 65,536-entry table).
+MAX_TABLE_INPUTS = 16
+
+# Plane cell byte -> binary digit: any programmed (non-zero) device is 1.
+_DIGITS = b"0" + b"1" * 255
+
+
+def _mask(cells_msb_first: Sequence[int]) -> int:
+    """Pack plane cells, most significant first, into an int."""
+    return int(bytes(cells_msb_first).translate(_DIGITS), 2)
 
 
 class Trpla:
@@ -90,6 +105,50 @@ class Trpla:
                 if bit:
                     outputs[o] = 1
         return tuple(outputs)
+
+    @cached_property
+    def table(self) -> Tuple[int, ...]:
+        """Dense truth table: packed input word -> packed output word.
+
+        Input ``k`` is bit ``k`` of the index; output ``o`` is bit ``o``
+        of the entry.  Each AND row lowers to the masks of its
+        programmed true and complement literals (a term with both
+        literals of one input never fires) and each OR row to an output
+        mask; a term ORs its output mask into every index it matches,
+        enumerated as the submasks of its don't-care inputs.  Built on
+        first use, once per instance; :meth:`evaluate` is the reference
+        it is tested against.
+        """
+        n = self.n_inputs
+        if n > MAX_TABLE_INPUTS:
+            raise ValueError(
+                f"a {n}-input PLA is too wide for a dense table "
+                f"(limit {MAX_TABLE_INPUTS})"
+            )
+        table = [0] * (1 << n)
+        full = (1 << n) - 1
+        for and_row, or_row in zip(self.and_plane, self.or_plane):
+            true = _mask(and_row[-2::-2])
+            comp = _mask(and_row[::-2])
+            out = _mask(or_row[::-1])
+            if true & comp or not out:
+                continue
+            free = full & ~(true | comp)
+            sub = free
+            while True:
+                table[true | sub] |= out
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+        return tuple(table)
+
+    def lookup(self, packed: int) -> int:
+        """Packed output word for a packed input word (see :attr:`table`)."""
+        if not 0 <= packed < 1 << self.n_inputs:
+            raise ValueError(
+                f"packed input {packed} outside {self.n_inputs} bits"
+            )
+        return self.table[packed]
 
     def transistor_count(self) -> int:
         """Programmed device count across both planes (area metric)."""

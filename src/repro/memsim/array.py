@@ -17,14 +17,26 @@ never touches them, exactly like spare rows and the TLB.
 Cell indices are flat ``row * row_stride + phys_col`` where
 ``row_stride = phys_cols + spare_cols``; with no spare columns this is
 the historical ``row * phys_cols + phys_col`` layout, bit for bit.
+
+Word access has two paths.  A word on a row no fault touches, read or
+written without column steering, moves as one strided slice of the
+cell store (word bit ``i`` of column ``c`` is cell ``base + c + i *
+bpc``).  Every other access resolves bit by bit through the fault
+hooks; that per-bit path is the reference the slice path is tested
+against.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.memsim.faults import Fault
+
+# Cell bytes (0/1) <-> the ASCII digits ``int(..., 2)`` and ``format``
+# speak, for moving a whole word between an int and a strided slice.
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class MemoryArray:
@@ -58,10 +70,16 @@ class MemoryArray:
         self.total_rows = rows + spares
         self.phys_cols = bpw * bpc
         self.row_stride = self.phys_cols + spare_cols
+        self._word_mask = (1 << bpw) - 1
+        self._word_format = f"0{bpw}b"
         self._bits = bytearray(self.total_rows * self.row_stride)
         self._faults: List[Fault] = []
         self._cell_faults: Dict[int, List[Fault]] = defaultdict(list)
-        self._column_last: Dict[int, int] = {}
+        # Rows holding any faulted cell: every other row takes the
+        # whole-word slice path.
+        self._faulty_rows: Set[int] = set()
+        # Last value sensed or driven on each physical column.
+        self._column_last = bytearray(self.row_stride)
         self.read_count = 0
         self.write_count = 0
 
@@ -107,6 +125,16 @@ class MemoryArray:
             )
         return address // self.bpc, address % self.bpc
 
+    def _locate(self, address: int,
+                row_override: Optional[int]) -> Tuple[int, int]:
+        """(physical row, column) an access to ``address`` reaches."""
+        row, column = self.split_address(address)
+        if row_override is None:
+            return row, column
+        if not 0 <= row_override < self.total_rows:
+            raise ValueError(f"row {row_override} out of range")
+        return row_override, column
+
     # -- fault management ------------------------------------------------------
 
     def inject(self, fault: Fault) -> None:
@@ -119,10 +147,12 @@ class MemoryArray:
                     f"outside the array"
                 )
             self._cell_faults[cell].append(fault)
+            self._faulty_rows.add(cell // self.row_stride)
 
     def clear_faults(self) -> None:
         self._faults.clear()
         self._cell_faults.clear()
+        self._faulty_rows.clear()
 
     @property
     def faults(self) -> Tuple[Fault, ...]:
@@ -130,9 +160,7 @@ class MemoryArray:
 
     def faulty_rows(self) -> List[int]:
         """Rows touched by any injected fault, ascending."""
-        rows = {cell // self.row_stride
-                for f in self._faults for cell in f.cells()}
-        return sorted(rows)
+        return sorted(self._faulty_rows)
 
     # -- raw cell access (used by fault hooks) -----------------------------------
 
@@ -146,7 +174,7 @@ class MemoryArray:
 
     def last_column_value(self, phys_col: int) -> int:
         """Last value sensed on a physical column (stuck-open model)."""
-        return self._column_last.get(phys_col, 0)
+        return self._column_last[phys_col]
 
     # -- word access ----------------------------------------------------------------
 
@@ -176,10 +204,13 @@ class MemoryArray:
         steers individual physical columns onto spare columns — the
         2-D repair path.
         """
-        row, column = self.split_address(address)
-        if row_override is not None:
-            row = row_override
+        row, column = self._locate(address, row_override)
         self.read_count += 1
+        if not col_map and row not in self._faulty_rows:
+            base = row * self.row_stride
+            bits = self._bits[base + column:base + self.phys_cols:self.bpc]
+            self._column_last[column:self.phys_cols:self.bpc] = bits
+            return int(bits[::-1].translate(_TO_ASCII), 2)
         word = 0
         for bit in range(self.bpw):
             cell, phys = self._resolve_cell(row, bit, column, col_map)
@@ -196,10 +227,15 @@ class MemoryArray:
                    row_override: int = None,
                    col_map: Optional[Mapping[int, int]] = None) -> None:
         """Write the ``bpw``-bit ``word`` at ``address``."""
-        row, column = self.split_address(address)
-        if row_override is not None:
-            row = row_override
+        row, column = self._locate(address, row_override)
         self.write_count += 1
+        if not col_map and row not in self._faulty_rows:
+            bits = format(word & self._word_mask, self._word_format)
+            bits = bits.encode("ascii").translate(_FROM_ASCII)[::-1]
+            base = row * self.row_stride
+            self._bits[base + column:base + self.phys_cols:self.bpc] = bits
+            self._column_last[column:self.phys_cols:self.bpc] = bits
+            return
         touched = []
         for bit in range(self.bpw):
             cell, phys = self._resolve_cell(row, bit, column, col_map)
@@ -222,8 +258,8 @@ class MemoryArray:
 
     def fill(self, pattern_word: int) -> None:
         """Fault-free bulk initialise every word (test setup helper)."""
-        for bit in range(self.bpw):
-            value = (pattern_word >> bit) & 1
-            for row in range(self.total_rows):
-                for column in range(self.bpc):
-                    self._bits[self.cell_index(row, bit, column)] = value
+        image = bytes((pattern_word >> bit) & 1
+                      for bit in range(self.bpw) for _ in range(self.bpc))
+        for row in range(self.total_rows):
+            base = row * self.row_stride
+            self._bits[base:base + self.phys_cols] = image

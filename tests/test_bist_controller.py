@@ -1,5 +1,7 @@
 """Tests for the BIST scheduler, microprogram builder, and TRPLA controller."""
 
+import random
+
 import pytest
 
 from repro.bist import (
@@ -10,8 +12,9 @@ from repro.bist import (
     build_test_program,
 )
 from repro.bist.microcode import assemble
-from repro.memsim import BisrRam
+from repro.memsim import BisrRam, DefectInjector, FaultMix
 from repro.memsim.faults import RowStuck, StuckAt
+from tests.stream_equivalence import assert_controller_equals_scheduler
 
 
 def device(rows=8, bpw=4, bpc=4, spares=4):
@@ -182,3 +185,44 @@ class TestTrplaController:
             c.step(go=0)
         assert c.result.op_count == 0
         assert not c.finished
+
+
+MIXES = {"solid": FaultMix(),
+         "in_field": FaultMix(intermittent=0.3, wearout=0.3)}
+
+
+def faulty_build(seed, mix, spare_cols=0, first_run=False):
+    """A builder of identically faulted devices; ``first_run`` puts
+    each through one fresh TRPLA cycle first, leaving its TLB image."""
+    def build():
+        d = BisrRam(rows=8, bpw=4, bpc=4, spares=4, spare_cols=spare_cols)
+        DefectInjector(rng=random.Random(seed), mix=MIXES[mix]).inject(
+            d.array, 3)
+        if first_run:
+            TrplaController(IFA_9, bpw=4, target=d).run()
+        return d
+    return build
+
+
+class TestControllerEqualsSchedulerOnFaultyDevices:
+    @pytest.mark.parametrize("spare_cols", (0, 2))
+    @pytest.mark.parametrize("mix", sorted(MIXES))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fresh_cycle(self, seed, mix, spare_cols):
+        assert_controller_equals_scheduler(
+            faulty_build(seed, mix, spare_cols), IFA_9, bpw=4)
+
+    @pytest.mark.parametrize("mix", sorted(MIXES))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rerun_keeps_the_tlb_image(self, seed, mix):
+        assert_controller_equals_scheduler(
+            faulty_build(seed, mix, spare_cols=1, first_run=True),
+            IFA_9, bpw=4, fresh=False)
+
+    def test_draws_cover_both_outcomes(self):
+        """The seeds above reach repaired and unrepaired devices."""
+        outcomes = {
+            BistScheduler(IFA_9, bpw=4).run(faulty_build(seed, mix)()).repaired
+            for seed in range(8) for mix in MIXES
+        }
+        assert outcomes == {True, False}

@@ -1,15 +1,20 @@
 """Unit tests for the microcode assembler and the TRPLA model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bist import (
+    ALL_TESTS,
     MicroInstruction,
     Microprogram,
     Trpla,
     assemble,
+    build_test_program,
     read_plane_files,
     write_plane_files,
 )
+from repro.bist.trpla import MAX_TABLE_INPUTS
 
 
 def two_state_program():
@@ -153,6 +158,77 @@ class TestTrpla:
     def test_transistor_count(self):
         pla = Trpla([[1, 0, 0, 1], [0, 0, 1, 0]], [[1, 0], [0, 1]])
         assert pla.transistor_count() == 3 + 2
+
+
+def _reference_table(pla):
+    """The sum-of-products model tabulated over every packed input."""
+    table = []
+    for packed in range(1 << pla.n_inputs):
+        inputs = [(packed >> k) & 1 for k in range(pla.n_inputs)]
+        outputs = pla.evaluate(inputs)
+        table.append(sum(bit << o for o, bit in enumerate(outputs)))
+    return table
+
+
+@st.composite
+def personalities(draw):
+    """Random planes: contradictory terms (both literals of an input
+    programmed) and all-zero OR rows arise freely."""
+    n_inputs = draw(st.integers(1, 6))
+    n_outputs = draw(st.integers(1, 5))
+    terms = draw(st.integers(1, 10))
+    bits = st.integers(0, 1)
+    and_plane = draw(st.lists(st.lists(bits, min_size=2 * n_inputs,
+                                       max_size=2 * n_inputs),
+                              min_size=terms, max_size=terms))
+    or_plane = draw(st.lists(st.lists(bits, min_size=n_outputs,
+                                      max_size=n_outputs),
+                             min_size=terms, max_size=terms))
+    return Trpla(and_plane, or_plane)
+
+
+class TestTrplaTable:
+    """The compiled lookup table against the sum-of-products reference."""
+
+    @pytest.mark.parametrize("passes", (1, 2, 3))
+    @pytest.mark.parametrize("march", ALL_TESTS, ids=lambda t: t.name)
+    def test_every_march_personality_exhaustively(self, march, passes):
+        pla_data = assemble(build_test_program(march, passes))
+        pla = Trpla(pla_data.and_plane, pla_data.or_plane)
+        assert list(pla.table) == _reference_table(pla)
+        assert [pla.lookup(x) for x in range(1 << pla.n_inputs)] == \
+            list(pla.table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(personalities())
+    def test_random_personalities(self, pla):
+        assert list(pla.table) == _reference_table(pla)
+
+    def test_contradictory_term_and_empty_or_row_never_drive(self):
+        # Term 0 programs both literals of in0; term 1 drives nothing;
+        # term 2 is in1.
+        pla = Trpla([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+                    [[1, 1], [0, 0], [0, 1]])
+        assert pla.table == (0, 0, 2, 2)
+
+    def test_one_input_pla(self):
+        pla = Trpla([[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0],
+                                                [0, 0, 1]])
+        assert pla.table == (0b110, 0b101)
+        assert list(pla.table) == _reference_table(pla)
+
+    def test_lookup_range_checked(self):
+        pla = Trpla([[1, 0, 0, 1]], [[1]])
+        for packed in (-1, 4):
+            with pytest.raises(ValueError, match="outside"):
+                pla.lookup(packed)
+
+    def test_too_wide_for_a_table(self):
+        width = 2 * (MAX_TABLE_INPUTS + 1)
+        pla = Trpla([[0] * width], [[1]])
+        assert pla.evaluate([0] * (MAX_TABLE_INPUTS + 1)) == (1,)
+        with pytest.raises(ValueError, match="too wide"):
+            pla.lookup(0)
 
 
 class TestPlaneFiles:

@@ -1,6 +1,8 @@
 """Tests for the extended march-test library (March X/Y/B) and the
 ability to microprogram and run every shipped test end to end."""
 
+import random
+
 import pytest
 
 from repro.bist.march import (
@@ -17,9 +19,10 @@ from repro.bist.controller import (
     build_test_program,
 )
 from repro.bist.microcode import assemble
-from repro.memsim import BisrRam
+from repro.memsim import BisrRam, DefectInjector, FaultMix
 from repro.memsim.coverage import coverage_campaign
 from repro.memsim.faults import RowStuck
+from tests.stream_equivalence import assert_controller_equals_scheduler
 
 
 class TestLibraryStructure:
@@ -57,6 +60,19 @@ class TestEveryTestRunsEndToEnd:
         r2 = TrplaController(march, bpw=2, target=d2,
                              record_ops=True).run()
         assert r1.ops == r2.ops
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_controller_equals_scheduler_on_faulty_devices(self, march,
+                                                           seed):
+        mix = FaultMix(intermittent=0.2, wearout=0.2)
+
+        def build():
+            d = BisrRam(rows=4, bpw=2, bpc=2, spares=4, spare_cols=1)
+            DefectInjector(rng=random.Random(seed), mix=mix).inject(
+                d.array, 2)
+            return d
+
+        assert_controller_equals_scheduler(build, march, bpw=2)
 
     def test_repairs_a_dead_row(self, march):
         device = BisrRam(rows=8, bpw=4, bpc=4, spares=4)
