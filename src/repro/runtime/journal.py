@@ -2,22 +2,20 @@
 
 A campaign that takes hours must survive a Ctrl-C, an OOM kill, or a
 power cut with nothing worse than losing the shard that was mid-write.
-The journal gives exactly that guarantee with the simplest possible
-format: one JSON object per line.
+The journal is a :class:`~repro.core.durability.JsonLog` — one
+fsynced JSON object per line, a torn final line forgiven and repaired
+before the next append, earlier corruption refused — plus campaign
+policy:
 
-* The **header** line is written first, atomically (temp file +
-  ``os.replace``), and carries a digest of the campaign fingerprint —
-  name, shard count, seed, parameters, task identity.  Resuming against
-  a journal whose digest disagrees is refused with a
+* The **header** is written atomically and carries a digest of the
+  campaign fingerprint — name, shard count, seed, parameters, task
+  identity.  Resuming against a journal whose digest disagrees, or
+  one with no header at all, is refused with a
   :class:`~repro.core.errors.ConfigError`: silently mixing shards from
   two different campaigns is the one corruption this format cannot
   detect after the fact.
 * Each **shard** line is appended only when the shard reaches a final
-  state (ok / failed / quarantined), then flushed and fsynced, so a
-  line either exists completely or not at all — except the very last
-  one, which a kill can tear.  ``_load`` therefore forgives a torn
-  *final* line and rejects corruption anywhere earlier (that would mean
-  the file was edited, not interrupted).
+  state (ok / failed / quarantined).
 
 The journal never stores derived aggregates: resume re-reduces from the
 per-shard results, so a resumed campaign is bit-identical to an
@@ -26,13 +24,10 @@ uninterrupted one by construction.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.core.canonical import stable_digest
-from repro.core.durability import fsync_dir
+from repro.core.durability import JsonLog
 from repro.core.errors import ConfigError
 
 JOURNAL_VERSION = 1
@@ -55,107 +50,43 @@ class CheckpointJournal:
     Usage: ``prior = journal.open(fingerprint, resume=...)`` returns the
     already-final shard payloads keyed by shard index (empty unless
     resuming), then ``journal.record(payload)`` appends each newly
-    finalised shard, and ``journal.close()`` releases the handle.
+    finalised shard, and ``journal.close()`` releases the log.
     """
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
-        self._handle = None
-
-    # -- lifecycle ----------------------------------------------------------
+        self._log = JsonLog(path, "checkpoint", JOURNAL_VERSION)
+        self.path = self._log.path
 
     def open(self, fingerprint: Mapping,
              resume: bool = False) -> Dict[int, dict]:
         """Create (or reopen) the journal; return journaled shards."""
         digest = fingerprint_digest(fingerprint)
-        prior: Dict[int, dict] = {}
-        if resume and self.path.exists():
-            prior = self._load(digest)
-        else:
-            header = {
-                "type": "header",
-                "version": JOURNAL_VERSION,
-                "digest": digest,
-                "campaign": dict(fingerprint),
-            }
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(header, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-            # The rename is atomic but not durable until the directory
-            # entry itself is synced; without this a power cut can lose
-            # the whole journal even though its bytes were fsynced.
-            fsync_dir(self.path.parent)
-        self._handle = open(self.path, "a", encoding="utf-8")
-        return prior
-
-    def record(self, payload: Mapping) -> None:
-        """Append one finalised shard; durable once this returns."""
-        if self._handle is None:
-            raise ConfigError("journal.record() before journal.open()")
-        line = json.dumps({"type": "shard", **payload}, sort_keys=True)
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    # -- resume -------------------------------------------------------------
-
-    def _load(self, digest: str) -> Dict[int, dict]:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        if not lines:
+        resume = resume and self.path.exists()
+        header, records = self._log.open(load=resume)
+        if not resume:
+            self._log.rewrite({"digest": digest,
+                               "campaign": dict(fingerprint)})
+            return {}
+        if header is None:
             raise ConfigError(
-                f"checkpoint {self.path} is empty; rerun without --resume"
-            )
-        header = self._parse_header(lines[0])
+                f"checkpoint {self.path} has no header; rerun without "
+                f"--resume")
         if header.get("digest") != digest:
             raise ConfigError(
                 f"checkpoint {self.path} belongs to a different campaign "
                 f"(digest {header.get('digest')!r}, expected {digest!r}); "
                 f"refusing to resume"
             )
-        records: Dict[int, dict] = {}
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines):
-                    break  # torn final write from the interrupted run
-                raise ConfigError(
-                    f"checkpoint {self.path} is corrupt at line {lineno} "
-                    f"(not a torn tail; refusing to guess)"
-                ) from None
-            if record.get("type") != "shard":
-                continue
-            payload = {k: v for k, v in record.items() if k != "type"}
-            index = payload.get("index")
-            if isinstance(index, int):
-                records[index] = payload  # last record for an index wins
-        return records
+        prior: Dict[int, dict] = {}
+        for record in records:
+            kind, index = record.pop("type", None), record.get("index")
+            if kind == "shard" and isinstance(index, int):
+                prior[index] = record  # the last record for an index wins
+        return prior
 
-    def _parse_header(self, line: str) -> dict:
-        try:
-            header = json.loads(line)
-        except json.JSONDecodeError:
-            raise ConfigError(
-                f"checkpoint {self.path} has no valid header line"
-            ) from None
-        if not isinstance(header, dict) or header.get("type") != "header":
-            raise ConfigError(
-                f"checkpoint {self.path} does not start with a header"
-            )
-        if header.get("version") != JOURNAL_VERSION:
-            raise ConfigError(
-                f"checkpoint {self.path} is journal version "
-                f"{header.get('version')!r}; this runtime reads "
-                f"version {JOURNAL_VERSION}"
-            )
-        return header
+    def record(self, payload: Mapping) -> None:
+        """Append one finalised shard; durable once this returns."""
+        self._log.append({"type": "shard", **payload})
+
+    def close(self) -> None:
+        self._log.close()

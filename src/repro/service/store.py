@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.core.durability import fsync_dir
+from repro.core.durability import fsync_dir, fsync_file
 from repro.core.errors import ConfigError
 from repro.core.liveness import process_start_time, same_process
 
@@ -326,8 +326,7 @@ class ArtifactStore:
                            "start": process_start_time(os.getpid()),
                            "host": socket.gethostname(),
                            "time": time.time(), "key": key}, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
+                fsync_file(handle)
             return True
         return False
 
@@ -390,8 +389,7 @@ class ArtifactStore:
     def _write_file(path: Path, data: bytes) -> None:
         with open(path, "wb") as handle:
             handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
+            fsync_file(handle)
 
     def _verified_read(self, key: str, entry: Path,
                        manifest_path: Path) -> Optional[Dict[str, bytes]]:

@@ -261,6 +261,48 @@ class TestJournal:
         prior = CheckpointJournal(path).open(self.FP, resume=True)
         assert prior[0]["status"] == "ok"
 
+    def _resume_and_record(self, path, indices):
+        journal = CheckpointJournal(path)
+        journal.open(self.FP, resume=True)
+        for index in indices:
+            journal.record({"index": index, "status": "ok"})
+        journal.close()
+
+    @pytest.mark.parametrize("resumed", [[1], [1, 2]])
+    def test_resumed_journal_with_torn_tail_is_resumable(self, tmp_path,
+                                                         resumed):
+        """A resume must cut the torn tail before appending, or its
+        first record fuses with the torn bytes: later lines then read
+        as mid-file corruption, and a lone one is silently dropped."""
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal(path)
+        journal.open(self.FP, resume=False)
+        journal.record({"index": 0, "status": "ok"})
+        journal.close()
+        with open(path, "a") as handle:
+            handle.write('{"type": "shard", "ind')
+        self._resume_and_record(path, resumed)
+        prior = CheckpointJournal(path).open(self.FP, resume=True)
+        assert sorted(prior) == [0, *resumed]
+
+    def test_final_line_missing_its_newline_keeps_the_next_record(
+            self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal(path)
+        journal.open(self.FP, resume=False)
+        journal.record({"index": 0, "status": "ok"})
+        journal.close()
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        self._resume_and_record(path, [1])
+        prior = CheckpointJournal(path).open(self.FP, resume=True)
+        assert sorted(prior) == [0, 1]
+
+    def test_double_open_is_refused(self, tmp_path):
+        journal = CheckpointJournal(tmp_path / "j.jsonl")
+        journal.open(self.FP, resume=False)
+        with pytest.raises(ConfigError, match="already open"):
+            journal.open(self.FP, resume=True)
+
 
 # ---------------------------------------------------------------------------
 # spec and policy validation
