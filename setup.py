@@ -10,7 +10,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy", "scipy"],
     entry_points={
         "console_scripts": ["bisramgen = repro.cli:main"],
     },

@@ -335,7 +335,7 @@ class BISRAMGen:
         if signoff is not None:
             def signoff_stage():
                 # Imported here: the verify subsystem sits above the
-                # compiler in the layering and pulls networkx.
+                # compiler in the layering.
                 from repro.verify.signoff import run_signoff
 
                 return run_signoff(compiled, march=self.march)

@@ -21,7 +21,8 @@ from repro.pnr.stretching import stretch_cell
 from repro.pnr.router import ChannelRouter, Net, route_channel
 from repro.pnr.abutment import abutting_ports
 from repro.pnr.connectivity import (
-    connectivity_graph,
+    Netlist,
+    extract,
     extract_nets,
     dangling_ports,
     net_spans_instances,
@@ -40,7 +41,8 @@ __all__ = [
     "Net",
     "route_channel",
     "abutting_ports",
-    "connectivity_graph",
+    "Netlist",
+    "extract",
     "extract_nets",
     "dangling_ports",
     "net_spans_instances",

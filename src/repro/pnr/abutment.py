@@ -10,33 +10,22 @@ coordinates.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.layout.cell import Cell
+from repro.pnr.connectivity import Abutment, extract
 
 
-def abutting_ports(parent: Cell) -> List[Tuple[str, str, str, str]]:
+def abutting_ports(parent: Cell) -> List[Abutment]:
     """All abutment connections among the direct children of ``parent``.
 
-    Returns tuples (instance_a, port_a, instance_b, port_b).  Ports
-    connect when they share a layer and their rectangles intersect
-    (zero-thickness edge ports coincide exactly on abutting edges).
+    Returns tuples (instance_a, port_a, instance_b, port_b) in placement
+    order of the two ports.  Ports connect when they share a layer and
+    their rectangles intersect (zero-thickness edge ports coincide
+    exactly on abutting edges); :func:`repro.pnr.connectivity.extract`
+    finds them.
     """
-    placed = []
-    for inst in parent.instances():
-        label = inst.name or inst.cell.name
-        for port in inst.ports():
-            placed.append((label, port))
-    found = []
-    for i, (name_a, port_a) in enumerate(placed):
-        for name_b, port_b in placed[i + 1:]:
-            if name_a == name_b:
-                continue
-            if port_a.layer != port_b.layer:
-                continue
-            if port_a.rect.intersects(port_b.rect):
-                found.append((name_a, port_a.name, name_b, port_b.name))
-    return found
+    return extract(parent).abutments
 
 
 def unconnected_ports(parent: Cell, expected: List[str]) -> List[str]:

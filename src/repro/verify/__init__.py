@@ -20,11 +20,7 @@ from repro.verify.hierdrc import (
     default_cache,
     hierarchical_drc,
 )
-from repro.verify.lvs import (
-    check_connectivity,
-    extract_nets,
-    intended_netlist,
-)
+from repro.verify.lvs import check_connectivity, intended_netlist
 from repro.verify.report import (
     EXIT_CODES,
     FAILURE_CLASSES,
@@ -53,7 +49,6 @@ __all__ = [
     "default_cache",
     "drc_findings",
     "drc_report",
-    "extract_nets",
     "hierarchical_drc",
     "intended_netlist",
     "run_signoff",

@@ -2,11 +2,11 @@
 
 The assembled module connects by abutment — "signals in adjacent
 modules are perfectly aligned and connected by abutments" — so the
-extracted netlist is the port-abutment graph of
-:mod:`repro.pnr.connectivity`, extended here with *drawn-geometry*
-conduction: any routing shape added at the top level that touches two
-port landings electrically bridges them, exactly how a routing
-regression creates a short the abutment graph alone cannot see.
+extracted netlist is :func:`repro.pnr.connectivity.extract`: port
+abutments, feed-through twins, and *drawn-geometry* conduction, where
+any routing shape added at the top level that touches two port
+landings electrically bridges them, exactly how a routing regression
+creates a short abutment alone cannot see.
 
 The intended netlist is derived from the configuration, not from the
 layout: one ``bl_<c>``/``blb_<c>`` net per column, each required to
@@ -22,17 +22,13 @@ column-mux row.  The cross-check classifies every discrepancy:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.core.config import RamConfig
 from repro.layout.cell import Cell
-from repro.layout.drc import _connected_groups, _merged
-from repro.pnr.connectivity import _through_key, connectivity_graph
+from repro.pnr.connectivity import Endpoint, extract
 from repro.tech.process import Process
 from repro.verify.report import SignoffFinding
-
-#: An endpoint of a net: (instance name, port name).
-Endpoint = Tuple[str, str]
 
 
 def intended_netlist(config: RamConfig) -> Dict[str, FrozenSet[Endpoint]]:
@@ -78,72 +74,6 @@ def intended_netlist(config: RamConfig) -> Dict[str, FrozenSet[Endpoint]]:
     return nets
 
 
-def _geometry_bridges(parent: Cell, process: Process,
-                      nodes: Sequence[Endpoint],
-                      ) -> List[Tuple[Endpoint, Endpoint]]:
-    """Port pairs bridged by geometry drawn at the parent level.
-
-    Groups the parent's own shapes per layer with the deck's
-    connectivity semantics, then connects any two ports whose landing
-    rectangles touch the same conducting group — the path by which a
-    stray routing shape shorts two bit lines.
-    """
-    own: Dict[str, List] = {}
-    for layer, rect in parent.shapes():
-        if rect.area > 0:
-            own.setdefault(layer, []).append(rect)
-    if not own:
-        return []
-    corner_touch = process.rules.corner_touch_connects()
-    port_rects: Dict[str, List[Tuple[Endpoint, object]]] = {}
-    for inst in parent.instances():
-        if not inst.name:
-            continue
-        for port in inst.ports():
-            port_rects.setdefault(port.layer, []).append(
-                ((inst.name, port.name), port.rect))
-
-    bridges: List[Tuple[Endpoint, Endpoint]] = []
-    for layer, rects in own.items():
-        landings = port_rects.get(layer, [])
-        if not landings:
-            continue
-        group = _connected_groups(rects, corner_touch)
-        by_group: Dict[int, List[Endpoint]] = {}
-        for endpoint, prect in landings:
-            for i, r in enumerate(rects):
-                if _merged(r, prect, corner_touch):
-                    by_group.setdefault(group[i], []).append(endpoint)
-                    break
-        for members in by_group.values():
-            first = members[0]
-            for other in members[1:]:
-                bridges.append((first, other))
-    return bridges
-
-
-def extract_nets(parent: Cell, process: Process,
-                 ) -> List[FrozenSet[Endpoint]]:
-    """Extracted electrical components over (instance, port) endpoints.
-
-    Port-abutment edges and feed-through twins come from
-    :func:`repro.pnr.connectivity.connectivity_graph`; parent-level
-    drawn geometry adds bridges on top.
-    """
-    graph = connectivity_graph(parent)
-    nodes = list(graph.nodes)
-    for a, b in _geometry_bridges(parent, process, nodes):
-        graph.add_edge(a, b, kind="geometry")
-    import networkx as nx
-
-    return [frozenset(c) for c in nx.connected_components(graph)]
-
-
-def _net_label(endpoint: Endpoint) -> str:
-    """Canonical net name of a bit-line endpoint (feed-through folded)."""
-    return _through_key(endpoint[1])
-
-
 def check_connectivity(
     parent: Cell,
     config: RamConfig,
@@ -152,7 +82,7 @@ def check_connectivity(
 ) -> Tuple[List[SignoffFinding], Dict[str, object]]:
     """Cross-check extracted connectivity against the intended netlist."""
     intended = intended_netlist(config)
-    components = extract_nets(parent, process)
+    components = extract(parent, process).components
     by_endpoint: Dict[Endpoint, int] = {}
     for i, comp in enumerate(components):
         for endpoint in comp:

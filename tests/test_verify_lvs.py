@@ -15,7 +15,8 @@ from repro.core.compiler import compile_ram
 from repro.core.config import RamConfig
 from repro.geometry import Point, Rect, Transform
 from repro.tech import get_process
-from repro.verify import check_connectivity, extract_nets, intended_netlist
+from repro.pnr import extract_nets
+from repro.verify import check_connectivity, intended_netlist
 
 SEEDS = [11, 23, 47]
 LAM = get_process("cda07").lambda_cu
@@ -80,6 +81,24 @@ class TestInjections:
         assert len(shorts) == 1
         assert shorts[0].subject == "bl_1+blb_1"
         assert sorted(shorts[0].data["nets"]) == ["bl_1", "blb_1"]
+
+    def test_stub_does_not_hide_bridge_short(self, build):
+        """A stray stub touching a landing, drawn before the shape that
+        bridges two bit lines, must not hide the short: the landing
+        joins every drawn shape it touches, not only the first."""
+        config, compiled, process = build
+        top = compiled.floorplan.top
+        array_inst = next(i for i in top.instances() if i.name == "array")
+        a = array_inst.port("bl_t_1").rect
+        b = array_inst.port("blb_t_1").rect
+        y = a.y1
+        top.add_shape("metal2", Rect(a.x1 - 50, y - 30, a.x1 + 10, y + 30))
+        top.add_shape("metal2", Rect(a.x1 + 20, y - 30, b.x2, y + 30))
+
+        findings, _ = check_connectivity(top, config, process)
+        shorts = [f for f in findings if f.kind == "short"]
+        assert len(shorts) == 1
+        assert shorts[0].subject == "bl_1+blb_1"
 
     def test_deliberate_open_is_caught(self, build):
         config, compiled, process = build
