@@ -56,8 +56,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--spare-cols", type=int, default=0,
                         help="spare columns (0..16; 0 = row-only repair)")
     parser.add_argument("--process", default="cda07",
-                        help="rule deck name; builtins plus any deck "
-                             "registered via files or entry points "
+                        help="rule deck name: a packaged deck or any "
+                             "deck registered via --tech-dir, "
+                             "REPRO_TECH_DIR or entry points "
                              "(see `repro tech list`)")
     parser.add_argument("--ports", type=int, default=1,
                         choices=(1, 2),
@@ -702,8 +703,7 @@ def cmd_tech(args: argparse.Namespace) -> int:
         print(f"metal layers : {process.metal_layers}")
         print(f"vdd          : {process.vdd:g} V")
         print(f"fingerprint  : {process.fingerprint()}")
-        if desc is not None and desc.source:
-            print(f"source       : {desc.source}")
+        print(f"source       : {desc.source}")
         print(f"rules        : {len(process.rules.rules)} entries")
         for rule in sorted(process.rules.rules):
             print(f"  {rule:<24} {process.rules.rules[rule]} cu")

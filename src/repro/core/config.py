@@ -37,9 +37,9 @@ class RamConfig:
         strap_every: bit-cell columns between strap columns (0 = no
             straps); Figs. 6-7 use 32.
         strap_width_lambda: width of each strap column in lambda.
-        process: process name — a builtin preset ("cda05", "mos06",
-            "cda07", "mos08") or any registry-loaded deck
-            (``repro tech list`` enumerates them).
+        process: deck name — one of the paper's packaged decks
+            ("cda05", "mos06", "cda07", "mos08") or any other
+            registered deck (``repro tech list`` enumerates them).
         ports: access ports on the bit cell — 1 (classic 6T) or 2
             (dual-port 8T: second word line and bit-line pair, its own
             precharge row and row decoder).
@@ -177,7 +177,7 @@ class RamConfig:
         (:meth:`repro.tech.process.Process.fingerprint`) on top of
         :meth:`to_dict`: two configs naming the same process string but
         resolving different rule decks (a ``--tech-dir`` deck shadowing
-        a builtin, or an edited descriptor file) digest differently, so
+        a packaged one, or an edited descriptor file) digest differently, so
         no cache layer ever serves geometry generated under other
         rules.  ``to_dict``/``from_dict`` stay fingerprint-free — the
         fingerprint is derived state, not configuration.

@@ -482,8 +482,8 @@ def techmatrix_campaign(
 ) -> CampaignSpec:
     """Compile one geometry on every (deck, port count) grid point.
 
-    Deck names resolve through the technology registry, so registered
-    descriptor files sweep alongside the builtins.  Each deck's
+    Deck names resolve through the technology registry, so decks from
+    ``tech_dirs`` sweep alongside the packaged ones.  Each deck's
     content fingerprint is baked into the campaign params: editing a
     deck file changes the journal fingerprint, forcing a clean rerun
     instead of a silently stale ``--resume``.

@@ -1,4 +1,4 @@
-"""Technology layer: mask layers, design rules, and process presets.
+"""Technology layer: mask layers, design rules, and resolved processes.
 
 BISRAMGEN is *design-rule independent*: all leaf-cell generators consume a
 :class:`~repro.tech.rules.DesignRules` object rather than hard-coded
@@ -6,9 +6,10 @@ dimensions, so the same generator code produces legal layout for any
 3-metal CMOS process at 0.5 um and above.  The paper exercised the tool
 with the Cascade Design Automation processes ``CDA.5u3m1p`` and
 ``CDA.7u3m1p`` and the MOSIS ``mos.6u3m1pHP`` process; those decks are
-proprietary, so this package ships faithful *scalable* equivalents
-(``cda05``, ``mos06``, ``cda07``) expressed as multiples of a lambda grid,
-plus SPICE level-1 device parameters typical of each node.
+proprietary, so the technology registry (:mod:`repro.techreg`) ships
+faithful *scalable* equivalents (``cda05``, ``mos06``, ``cda07``,
+``mos08``) as packaged descriptor files: rules as multiples of a lambda
+grid, plus SPICE level-1 device parameters typical of each node.
 """
 
 from repro.tech.layers import Layer, LayerSet, STANDARD_LAYERS
@@ -17,9 +18,6 @@ from repro.tech.process import (
     Process,
     available_processes,
     get_process,
-    CDA05,
-    MOS06,
-    CDA07,
 )
 from repro.tech.spice_params import MosParams
 
@@ -32,8 +30,5 @@ __all__ = [
     "Process",
     "available_processes",
     "get_process",
-    "CDA05",
-    "MOS06",
-    "CDA07",
     "MosParams",
 ]

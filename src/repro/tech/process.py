@@ -1,39 +1,45 @@
-"""Process presets.
+"""The resolved process: what every generator and model consumes.
 
-Each preset bundles a layer set, a resolved design-rule deck, SPICE
-device parameters, supply voltage, and wire parasitics — everything a
-leaf-cell generator or the delay models need.  The three presets mirror
-the processes named in the paper:
+A :class:`Process` bundles a layer set, a resolved design-rule deck,
+SPICE device parameters, supply voltage, and wire parasitics —
+everything a leaf-cell generator or the delay models need.  Processes
+are not defined here: every deck is a descriptor file that the
+technology registry (:mod:`repro.techreg`) validates and resolves.
+The paper's four decks ship as packaged files:
 
 * ``cda05`` — stands in for Cascade Design Automation ``CDA.5u3m1p``
   (0.5 um, 3 metal, 1 poly),
 * ``mos06`` — stands in for MOSIS ``mos.6u3m1pHP`` (0.6 um HP),
 * ``cda07`` — stands in for ``CDA.7u3m1p`` (0.7 um), the process used
-  for Table I and the 1.2 ns TLB delay quote.
+  for Table I and the 1.2 ns TLB delay quote,
+* ``mos08`` — the 0.8 um node most of the Table II dataset used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.tech.layers import LayerSet
 from repro.tech.rules import DesignRules
-from repro.tech.spice_params import MosParams, nmos_for_node, pmos_for_node
+from repro.tech.spice_params import MosParams
 
 
 @dataclass(frozen=True)
 class Process:
-    """A complete process description.
+    """A complete process description, resolved from one deck's
+    descriptor by :func:`repro.techreg.registry.resolve_process`.
 
     Attributes:
-        name: preset identifier (``cda05``, ``mos06``, ``cda07``).
+        name: deck name (``cda05``, ``scn4m``, ...), the value
+            ``--process`` takes.
         description: human-readable note, including which proprietary
-            process this preset stands in for.
+            process the deck stands in for.
         feature_um: drawn feature size in microns.
-        metal_layers: number of routing metals (always 3 here; the cost
-            model refuses 2-metal chips exactly as the paper does).
-        vdd: supply voltage in volts (5 V class for these nodes).
+        metal_layers: number of routing metals (3 for the paper's
+            decks, never fewer; the cost model refuses 2-metal chips
+            exactly as the paper does).
+        vdd: supply voltage in volts (5 V for the paper's decks).
         layers: the mask layer set.
         rules: resolved design rules in centimicrons.
         nmos / pmos: level-1 device parameters.
@@ -70,12 +76,13 @@ class Process:
         change generated geometry or the guarantee models.
 
         Deliberately excludes the name, description, and provenance
-        (builtin vs file vs entry point): a registry-loaded deck that
-        is byte-for-byte the builtin must fingerprint equal, so cached
-        artifacts survive the packaging change.  Any rule, layer,
-        device, or supply edit changes the fingerprint — this is the
-        value :meth:`repro.core.config.RamConfig.digest`, the artifact
-        store's bundle key, and campaign journal fingerprints fold in.
+        (packaged file, search directory, or entry point): a
+        byte-identical copy of a deck found through another source must
+        fingerprint equal, so cached artifacts survive moving a deck.
+        Any rule, layer, device, or supply edit changes the
+        fingerprint — this is the value
+        :meth:`repro.core.config.RamConfig.digest`, the artifact store's
+        bundle key, and campaign journal fingerprints fold in.
         """
         import dataclasses
 
@@ -100,68 +107,23 @@ class Process:
         return stable_digest(payload, chars)
 
 
-def _make_process(name: str, description: str, feature_um: float) -> Process:
-    lambda_cu = int(round(feature_um * 100 / 2))
-    return Process(
-        name=name,
-        description=description,
-        feature_um=feature_um,
-        metal_layers=3,
-        vdd=5.0,
-        layers=LayerSet(),
-        rules=DesignRules.scalable(lambda_cu),
-        nmos=nmos_for_node(feature_um),
-        pmos=pmos_for_node(feature_um),
-        wire_r_ohm_sq=0.07,
-        wire_c_af_um=200.0 * feature_um,
-    )
-
-
-CDA05 = _make_process(
-    "cda05",
-    "Scalable stand-in for Cascade Design Automation CDA.5u3m1p "
-    "(0.5 um, 3 metal, 1 poly)",
-    0.5,
-)
-
-MOS06 = _make_process(
-    "mos06",
-    "Scalable stand-in for MOSIS mos.6u3m1pHP (0.6 um HP, 3 metal, 1 poly)",
-    0.6,
-)
-
-CDA07 = _make_process(
-    "cda07",
-    "Scalable stand-in for Cascade Design Automation CDA.7u3m1p "
-    "(0.7 um, 3 metal, 1 poly); process of the paper's Table I",
-    0.7,
-)
-
-MOS08 = _make_process(
-    "mos08",
-    "Scalable 0.8 um 3-metal preset — the node most of the Table II "
-    "microprocessor dataset was fabbed on",
-    0.8,
-)
-
-_PRESETS: Dict[str, Process] = {
-    p.name: p for p in (CDA05, MOS06, CDA07, MOS08)
-}
+#: The paper's decks, shipped as packaged descriptor files
+#: (``repro/techreg/decks/*.json``).
+_PAPER_DECKS = ("cda05", "cda07", "mos06", "mos08")
 
 
 def available_processes() -> Tuple[str, ...]:
-    """Names of the shipped process presets."""
-    return tuple(sorted(_PRESETS))
+    """Names of the paper's decks, sorted; the registry holds more."""
+    return _PAPER_DECKS
 
 
 def get_process(name: str) -> Process:
-    """Look a process up by name — builtin preset or registry deck.
+    """Look a deck up by name in the default technology registry.
 
-    Registry decks (packaged descriptor files, ``--tech-dir``
-    directories, ``repro.techs`` entry points) can also *shadow* a
-    builtin name, so resolution always goes through the registry;
-    builtins are its lowest-precedence source and the common case stays
-    a dict hit.
+    Packaged decks are the lowest-precedence source: a deck of the
+    same name in a ``repro.techs`` entry point or a search directory
+    (``REPRO_TECH_DIR``, ``--tech-dir``) shadows them.  A warm lookup
+    is a dict hit plus one ``stat`` of the deck's file.
 
     Raises:
         UnknownProcessError: (a :class:`~repro.core.errors.ConfigError`

@@ -2,21 +2,22 @@
 
 The paper's premise is design-rule independence — "a range of 3-metal
 processes ... may be chosen by the user" — and this package makes the
-choice *pluggable*.  A technology is described by a
-:class:`~repro.techreg.descriptor.TechDescriptor` file (TOML or JSON:
-lambda or absolute rule deck, layer map, MOS parameters, supply and
-wire parasitics, metadata), checked by a strict validator
-(:mod:`repro.techreg.validate`), and resolved into the same
-:class:`~repro.tech.process.Process` object the builtin presets
-produce.
+choice *pluggable*.  Every technology, the paper's own included, is a
+:class:`~repro.techreg.descriptor.TechDescriptor` file (JSON, or TOML
+on Python 3.11+: lambda or absolute rule deck, layer map, MOS
+parameters, supply and wire parasitics, metadata), checked by a strict
+validator (:mod:`repro.techreg.validate`), and resolved into a
+:class:`~repro.tech.process.Process`.
 
-Decks are discovered from four sources, later overriding earlier:
+Decks are discovered from three sources, later overriding earlier:
 
-1. the builtin presets (``cda05``/``mos06``/``cda07``/``mos08``),
-2. descriptor files packaged under ``repro/techreg/decks/``
-   (``scn4m``, ``pfin7``),
-3. ``repro.techs`` entry points exported by installed packages,
-4. search directories — the ``REPRO_TECH_DIR`` environment variable
+1. descriptor files packaged under ``repro/techreg/decks/``: the
+   paper's ``cda05``/``mos06``/``cda07``/``mos08`` as JSON (so the
+   default deck loads on every supported Python), plus ``scn4m`` and
+   ``pfin7``,
+2. ``repro.techs`` entry points exported by installed packages, each
+   naming a descriptor file,
+3. search directories — the ``REPRO_TECH_DIR`` environment variable
    (``os.pathsep``-separated), then any ``--tech-dir`` passed on the
    command line.
 

@@ -1,10 +1,11 @@
 """The technology descriptor: one deck as a declarative document.
 
-A descriptor file (TOML or JSON) carries everything
-:class:`~repro.tech.process.Process` needs, in one of two deck styles:
+A descriptor file (JSON, or TOML on Python 3.11+ where ``tomllib``
+exists) carries everything :class:`~repro.tech.process.Process` needs,
+in one of two deck styles:
 
 * ``deck_type = "lambda"`` — rules are given *in lambda units* as
-  overrides/extensions of the builtin SCMOS-like table; lambda is
+  overrides/extensions of the default SCMOS-like table; lambda is
   derived from ``feature_um`` (lambda = feature/2, on the centimicron
   grid).  This is the portable style the paper's processes use.
 * ``deck_type = "absolute"`` — rules are the complete resolved table
@@ -216,8 +217,13 @@ def load_descriptor(path) -> TechDescriptor:
             path=str(path)) from None
     suffix = path.suffix.lower()
     if suffix == ".toml":
-        import tomllib
-
+        try:
+            import tomllib
+        except ImportError:
+            raise DescriptorError(
+                f"descriptor {path} is TOML, which needs Python 3.11+ "
+                f"(tomllib); write the deck as .json to load it here",
+                path=str(path)) from None
         try:
             data = tomllib.loads(raw.decode("utf-8"))
         except (tomllib.TOMLDecodeError, UnicodeDecodeError) as error:

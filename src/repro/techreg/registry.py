@@ -1,20 +1,24 @@
 """Deck discovery and resolution.
 
 The registry is the single lookup path behind
-:func:`repro.tech.process.get_process`.  It merges four sources, later
-overriding earlier:
+:func:`repro.tech.process.get_process`.  Every deck is a descriptor
+file; the registry merges three sources, later overriding earlier:
 
-1. builtin presets (plain :class:`~repro.tech.process.Process` objects),
-2. descriptor files packaged under ``repro/techreg/decks/``,
-3. ``repro.techs`` entry points of installed packages,
-4. search directories — ``REPRO_TECH_DIR`` (``os.pathsep``-separated),
+1. descriptor files packaged under ``repro/techreg/decks/`` (the
+   paper's ``cda05``/``mos06``/``cda07``/``mos08`` plus ``scn4m`` and
+   ``pfin7``),
+2. ``repro.techs`` entry points of installed packages, each naming a
+   descriptor file,
+3. search directories — ``REPRO_TECH_DIR`` (``os.pathsep``-separated),
    then directories added with :meth:`TechRegistry.add_search_dir`
    (the CLI's ``--tech-dir``).
 
-File-backed decks are cached per ``(mtime_ns, size)`` and re-validated
+Decks are cached per ``(mtime_ns, size)`` of their file and re-validated
 when the file changes, so editing a deck mid-process invalidates within
 one :meth:`~TechRegistry.resolve` call — the same edit also changes the
 deck fingerprint and with it every digest/bundle/journal key downstream.
+A file that has gone, or that now names another deck, sends the lookup
+through one rescan, so a deleted shadow falls back to the deck it hid.
 """
 
 from __future__ import annotations
@@ -93,21 +97,16 @@ def _mos_params(polarity: str, spec, feature_um: float) -> MosParams:
 
 @dataclass
 class _Entry:
-    """One registered deck."""
+    """One registered deck: its descriptor file as last read."""
 
-    name: str
-    origin: str                       # builtin | packaged | entry-point | dir
-    path: str = ""                    # descriptor file, "" for builtins
-    process: Optional[Process] = None  # resolved (builtins: always)
-    descriptor: Optional[TechDescriptor] = None
-    stat: Optional[Tuple[int, int]] = None  # (mtime_ns, size) when file-backed
+    origin: str                       # packaged | entry-point | dir
+    path: str
+    descriptor: TechDescriptor
+    stat: Tuple[int, int]             # (mtime_ns, size) when read
+    process: Optional[Process] = None  # resolved on first lookup
 
     def fresh(self) -> bool:
-        """Whether the cached resolution still matches the file on disk."""
-        if not self.path:
-            return self.process is not None
-        if self.process is None or self.stat is None:
-            return False
+        """Whether ``descriptor`` still matches the file on disk."""
         try:
             st = os.stat(self.path)
         except OSError:
@@ -119,17 +118,13 @@ class TechRegistry:
     """Name -> deck lookup over all discovery sources.
 
     Scans lazily on first use; :meth:`rescan` forces a fresh pass (a
-    resolve miss triggers one automatic rescan before failing, so decks
-    dropped into a search directory mid-process are picked up).
+    lookup that misses, or whose file has gone or been renamed, rescans
+    once before failing, so decks dropped into a search directory
+    mid-process are picked up).
     """
 
-    def __init__(self, builtins: Optional[Dict[str, Process]] = None,
-                 use_entry_points: bool = True,
+    def __init__(self, use_entry_points: bool = True,
                  packaged_dir: Optional[Path] = None) -> None:
-        if builtins is None:
-            from repro.tech.process import _PRESETS
-            builtins = dict(_PRESETS)
-        self._builtins = builtins
         self._use_entry_points = use_entry_points
         self._packaged_dir = (Path(__file__).parent / "decks"
                               if packaged_dir is None else packaged_dir)
@@ -158,9 +153,6 @@ class TechRegistry:
             return self._entries
         entries: Dict[str, _Entry] = {}
         self.scan_errors = []
-        for name, process in self._builtins.items():
-            entries[name] = _Entry(name=name, origin="builtin",
-                                   process=process)
         self._scan_dir(entries, self._packaged_dir, "packaged")
         if self._use_entry_points:
             self._scan_entry_points(entries)
@@ -181,17 +173,7 @@ class TechRegistry:
         except OSError:
             return
         for path in files:
-            try:
-                desc = load_descriptor(path)
-            except DescriptorError as error:
-                self.scan_errors.append((str(path), str(error)))
-                continue
-            if not desc.name:
-                self.scan_errors.append(
-                    (str(path), "descriptor has no [tech] name"))
-                continue
-            entries[desc.name] = _Entry(name=desc.name, origin=origin,
-                                        path=str(path), descriptor=desc)
+            self._add(entries, str(path), origin)
 
     def _scan_entry_points(self, entries: Dict[str, _Entry]) -> None:
         try:
@@ -201,23 +183,61 @@ class TechRegistry:
             self.scan_errors.append(("entry-points", str(error)))
             return
         for ep in eps:
-            source = f"entry-point {ep.name}"
             try:
                 loaded = ep.load()
                 if callable(loaded):
                     loaded = loaded()
-                if isinstance(loaded, TechDescriptor):
-                    desc = loaded
-                elif isinstance(loaded, (str, Path)):
-                    desc = load_descriptor(loaded)
-                else:
-                    desc = TechDescriptor.from_dict(loaded, source=source)
+                path = os.fspath(loaded)
             except Exception as error:
-                self.scan_errors.append((source, str(error)))
+                self.scan_errors.append(
+                    (f"entry-point {ep.name}",
+                     f"does not name a descriptor file: {error}"))
                 continue
-            name = desc.name or ep.name
-            entries[name] = _Entry(name=name, origin="entry-point",
-                                   path=desc.source, descriptor=desc)
+            self._add(entries, path, "entry-point")
+
+    def _add(self, entries: Dict[str, _Entry], path: str,
+             origin: str) -> None:
+        """Register the deck in one file; a bad file is a scan error."""
+        try:
+            desc, stat = _read(path)
+        except (OSError, DescriptorError) as error:
+            self.scan_errors.append((path, str(error)))
+            return
+        if not desc.name:
+            self.scan_errors.append((path, "descriptor has no [tech] name"))
+            return
+        entries[desc.name] = _Entry(origin, path, desc, stat)
+
+    def _current(self, name: str) -> _Entry:
+        """The entry for ``name``, re-read if its file has changed.
+
+        A miss, a deleted file, or a file that now names another deck
+        rescans once and retries, so a deleted shadow falls back to the
+        deck it hid and a renamed deck stops answering to its old name.
+
+        Raises:
+            UnknownProcessError: name registered nowhere after the
+                rescan.
+            DescriptorError: the deck's file changed and no longer
+                parses.
+        """
+        for attempt in range(2):
+            if attempt:
+                self.rescan()
+            entry = self._scan().get(name)
+            if entry is None:
+                continue
+            if entry.fresh():
+                return entry
+            try:
+                desc, stat = _read(entry.path)
+            except OSError:
+                continue                    # the file has gone
+            if desc.name != name:
+                continue                    # it now names another deck
+            entry.descriptor, entry.stat, entry.process = desc, stat, None
+            return entry
+        raise UnknownProcessError(name, self.names())
 
     # -- queries ------------------------------------------------------------
 
@@ -234,10 +254,8 @@ class TechRegistry:
         """
         rows = []
         for name in self.names():
-            row = {"name": name}
             entry = self._scan()[name]
-            row["origin"] = entry.origin
-            row["path"] = entry.path
+            row = {"name": name, "origin": entry.origin, "path": entry.path}
             try:
                 process = self.resolve(name)
             except DescriptorError as error:
@@ -250,20 +268,9 @@ class TechRegistry:
             rows.append(row)
         return tuple(rows)
 
-    def descriptor(self, name: str) -> Optional[TechDescriptor]:
-        """The descriptor behind ``name`` (None for plain builtins)."""
-        entries = self._scan()
-        if name not in entries:
-            self.rescan()
-            entries = self._scan()
-        if name not in entries:
-            raise UnknownProcessError(name, self.names())
-        entry = entries[name]
-        if entry.path and not entry.fresh():
-            # Pick up edits (including a changed [tech] name).
-            entry.descriptor = load_descriptor(entry.path)
-            entry.process = None
-        return entry.descriptor
+    def descriptor(self, name: str) -> TechDescriptor:
+        """The descriptor behind ``name``, as its file reads now."""
+        return self._current(name).descriptor
 
     def resolve(self, name: str) -> Process:
         """Look a deck up by name and build its :class:`Process`.
@@ -273,24 +280,20 @@ class TechRegistry:
                 automatic rescan).
             DescriptorError: the deck exists but fails validation.
         """
-        entries = self._scan()
-        if name not in entries:
-            self.rescan()
-            entries = self._scan()
-            if name not in entries:
-                raise UnknownProcessError(name, self.names())
-        entry = entries[name]
-        if entry.fresh():
-            return entry.process
-        if entry.path:
-            entry.descriptor = load_descriptor(entry.path)
-            st = os.stat(entry.path)
-            entry.stat = (st.st_mtime_ns, st.st_size)
-        if entry.descriptor is None:
-            raise UnknownProcessError(name, self.names())
-        check_descriptor(entry.descriptor)
-        entry.process = resolve_process(entry.descriptor)
+        entry = self._current(name)
+        if entry.process is None:
+            check_descriptor(entry.descriptor)
+            entry.process = resolve_process(entry.descriptor)
         return entry.process
+
+
+def _read(path: str) -> Tuple[TechDescriptor, Tuple[int, int]]:
+    """Parse one descriptor file, with the ``(mtime_ns, size)`` it had.
+
+    Raises ``OSError`` when the file does not exist.
+    """
+    st = os.stat(path)
+    return load_descriptor(path), (st.st_mtime_ns, st.st_size)
 
 
 _DEFAULT: Optional[TechRegistry] = None

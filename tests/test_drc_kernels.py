@@ -1,7 +1,7 @@
 """The sweep-based DRC kernels agree exactly with the pairwise reference.
 
 :mod:`tests.drc_reference` keeps the original all-pairs rule checks.
-On random rectangle soups over every builtin deck — with zero-area
+On random rectangle soups over every packaged deck — with zero-area
 markers, shapes from several sources, and the deck's ``touch.corner``
 rule both on and off — the fast leaf and seam kernels must return the
 same violations, with the same ``measured`` and ``where`` values, in

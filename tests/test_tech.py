@@ -3,7 +3,6 @@
 import pytest
 
 from repro.tech import (
-    CDA07,
     DesignRules,
     Layer,
     LayerSet,
@@ -91,7 +90,10 @@ class TestProcess:
         assert available_processes() == ("cda05", "cda07", "mos06", "mos08")
 
     def test_lookup(self):
-        assert get_process("cda07") is CDA07
+        process = get_process("cda07")
+        assert process.name == "cda07"
+        assert process.feature_um == pytest.approx(0.7)
+        assert get_process("cda07") is process
 
     def test_unknown_process(self):
         with pytest.raises(KeyError, match="available"):

@@ -6,7 +6,10 @@ copy of a deck is the same deck no matter where the registry found it.
 """
 
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,9 +25,11 @@ from repro.techreg import (
     load_descriptor,
     validate_descriptor,
 )
+from repro.techreg.descriptor import DESCRIPTOR_SUFFIXES
 
-PACKAGED = Path(__file__).resolve().parents[1] / "src" / "repro" / \
-    "techreg" / "decks"
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGED = SRC / "repro" / "techreg" / "decks"
+PACKAGED_NAMES = {"cda05", "cda07", "mos06", "mos08", "scn4m", "pfin7"}
 
 
 @pytest.fixture
@@ -83,8 +88,14 @@ class TestValidator:
         assert any("width.poly" in p.message for p in problems)
 
     def test_packaged_decks_validate_clean(self):
-        for deck in sorted(PACKAGED.glob("*.toml")):
-            assert validate_descriptor(load_descriptor(deck)) == []
+        decks = sorted(p for p in PACKAGED.iterdir()
+                       if p.suffix in DESCRIPTOR_SUFFIXES)
+        names = []
+        for deck in decks:
+            desc = load_descriptor(deck)
+            assert validate_descriptor(desc) == [], deck.name
+            names.append(desc.name)
+        assert sorted(names) == sorted(PACKAGED_NAMES)
 
     def test_malformed_file_raises_descriptor_error(self, tmp_path):
         path = tmp_path / "junk.toml"
@@ -129,6 +140,58 @@ class TestRegistry:
         fresh_registry.add_search_dir(tmp_path)
         assert "scn4m" in fresh_registry.names()
         assert fresh_registry.scan_errors
+
+    def test_renamed_deck_stops_answering_to_its_old_name(
+            self, fresh_registry, tmp_path):
+        deck = (PACKAGED / "scn4m.toml").read_text().replace(
+            'name = "scn4m"', 'name = "mydeck"')
+        path = tmp_path / "mydeck.toml"
+        path.write_text(deck)
+        fresh_registry.add_search_dir(tmp_path)
+        assert get_process("mydeck").name == "mydeck"
+        path.write_text(deck.replace('name = "mydeck"', 'name = "other"'))
+        with pytest.raises(UnknownProcessError):
+            get_process("mydeck")
+        assert "mydeck" not in fresh_registry.names()
+        assert get_process("other").name == "other"
+
+    def test_deleted_shadow_falls_back_to_packaged(self, fresh_registry,
+                                                   tmp_path):
+        shadow = tmp_path / "scn4m.toml"
+        shutil.copy(PACKAGED / "scn4m.toml", shadow)
+        fresh_registry.add_search_dir(tmp_path)
+        get_process("scn4m")
+        assert fresh_registry.descriptor("scn4m").source == str(shadow)
+        shadow.unlink()
+        assert get_process("scn4m").fingerprint() == \
+            TestFingerprintIdentity.GOLDEN_FINGERPRINTS["scn4m"]
+        assert fresh_registry.descriptor("scn4m").source == \
+            str(PACKAGED / "scn4m.toml")
+
+    def test_toml_decks_without_tomllib_are_scan_warnings(self):
+        """Python < 3.11 has no tomllib: the TOML decks drop out of the
+        scan with a warning, and the JSON paper decks still load."""
+        blocked = "import sys; sys.modules['tomllib'] = None; "
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("REPRO_TECH_DIR", None)
+        lookup = subprocess.run(
+            [sys.executable, "-c", blocked +
+             "from repro.tech import get_process; "
+             "print(get_process('cda07').fingerprint())"],
+            capture_output=True, text=True, env=env)
+        assert lookup.returncode == 0, lookup.stderr
+        assert lookup.stdout.strip() == \
+            TestFingerprintIdentity.GOLDEN_FINGERPRINTS["cda07"]
+        listing = subprocess.run(
+            [sys.executable, "-c", blocked +
+             "from repro.cli import main; sys.exit(main(['tech', 'list']))"],
+            capture_output=True, text=True, env=env)
+        assert listing.returncode == 0, listing.stderr
+        assert "cda07" in listing.stdout
+        for deck in ("scn4m.toml", "pfin7.toml"):
+            warning = [line for line in listing.stderr.splitlines()
+                       if line.startswith("warning:") and deck in line]
+            assert warning and "Python 3.11" in warning[0], listing.stderr
 
 
 class TestFingerprintIdentity:
@@ -248,7 +311,10 @@ class TestCliSurface:
 
         assert main(["tech", "list"]) == 0
         out = capsys.readouterr().out
-        assert "scn4m" in out and "pfin7" in out and "builtin" in out
+        assert "scn4m" in out and "pfin7" in out and "builtin" not in out
+        origins = {row["name"]: row["origin"]
+                   for row in fresh_registry.entries()}
+        assert {origins[name] for name in PACKAGED_NAMES} == {"packaged"}
         bad = tmp_path / "bad.toml"
         bad.write_text('[tech]\nname = "x"\ndeck_type = "lambda"\n'
                        'feature_um = 0.5\nmetal_layers = 3\nvdd = 5.0\n')
