@@ -1,4 +1,5 @@
-"""Signoff cost: full-macro wall time and the leaf-cell cache payoff.
+"""Signoff cost: full-macro wall time, the leaf-cell cache payoff, and
+how signoff scales with the macro.
 
 The hierarchical DRC's value proposition is that a *second* signoff on
 an unchanged macro is nearly free: every unique cell's verdict is
@@ -7,6 +8,12 @@ sweep re-checks nothing.  This bench measures that across all four
 technology nodes (the deck digest differs per node, so each node pays
 its own cold sweep) and times one complete signoff — DRC + LVS-lite +
 control validation — as the stage gate a build would run.
+
+A cold signoff should cost what the macro's *distinct* seams cost, not
+its bit count: seam DRC folds each periodic seam zone into its
+distinct windows.  The scaling table times seam DRC, LVS and control
+from 256x32 up to 4096x64 and asserts that a 16x larger macro signs
+off within 2x the time of the 1024x32 one.
 """
 
 import time
@@ -20,6 +27,9 @@ from repro.tech import get_process
 from repro.verify import DrcCache, hierarchical_drc, run_signoff
 
 NODES = ("cda05", "mos06", "cda07", "mos08")
+#: (words, bpw, bpc) of the scaling table; the ratio is taken against
+#: the second row.
+SCALING = ((256, 32, 8), (1024, 32, 8), (4096, 32, 16), (4096, 64, 16))
 
 
 def _small_config(process):
@@ -87,3 +97,42 @@ def test_full_macro_signoff_walltime(benchmark):
         ["checker", "stage", "elapsed ms"],
         rows,
     )
+
+
+def _cold_signoff_s(config, repeats=3):
+    """Cold seam DRC, LVS and control times, each the best of ``repeats``.
+
+    Each repeat starts from an empty verdict cache; leaf-cell checks
+    are left out (``seam_s`` excludes them), so the times are what
+    signoff pays with a warm leaf cache.
+    """
+    compiled = compile_ram(config)
+    runs = []
+    for _ in range(repeats):
+        report = run_signoff(compiled, cache=DrcCache())
+        assert report.clean
+        by = {(r.checker, r.stage): r for r in report.results}
+        runs.append((by[("drc", "leaf-cells")].stats["seam_s"],
+                     by[("lvs", "assembly")].elapsed_s,
+                     by[("control", "control")].elapsed_s))
+    return tuple(min(times) for times in zip(*runs))
+
+
+def test_signoff_scales_with_distinct_seams():
+    """4096x64 signs off within 2x of 1024x32 (16x the bits)."""
+    rows, totals = [], {}
+    for words, bpw, bpc in SCALING:
+        seam, lvs, control = _cold_signoff_s(
+            RamConfig(words=words, bpw=bpw, bpc=bpc))
+        totals[(words, bpw, bpc)] = total = seam + lvs + control
+        rows.append([f"{words}x{bpw}/{bpc}", f"{seam:.3f}", f"{lvs:.3f}",
+                     f"{control:.3f}", f"{total:.3f}"])
+    base = totals[SCALING[1]]
+    for row, key in zip(rows, SCALING):
+        row.append(f"{totals[key] / base:.2f}x")
+    print_table(
+        "Cold signoff vs. macro size, cda07 (s; leaf cache excluded)",
+        ["macro", "seam DRC", "LVS", "control", "signoff", "vs 1024x32"],
+        rows,
+    )
+    assert totals[SCALING[3]] <= 2 * base

@@ -20,13 +20,17 @@ abuts them into the overall module:
 
 The datapath rows are assembled by exact abutment (bit-line pitch is
 shared by the bit cell, precharge, and mux cells); the control strip
-uses :func:`~repro.pnr.placer.place_decreasing_area`.
+uses :func:`~repro.pnr.placer.place_decreasing_area`.  Every repeated
+structure is placed as an :class:`~repro.layout.cell.InstanceArray`
+(:meth:`~repro.layout.cell.Cell.add_array`), so hierarchical DRC sees
+the period instead of thousands of unrelated instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from math import lcm
+from typing import Dict, Optional
 
 from repro.bist.controller import build_test_program
 from repro.bist.march import IFA_9, MarchTest
@@ -257,20 +261,12 @@ def _build_array(config: RamConfig, process: Process,
     )
     # One row strip: bit cells with straps every strap_every columns.
     strip = Cell("row_strip")
-    column_x = []
-    x = 0
-    for c in range(config.columns + spare_cols):
-        if strap is not None and c and c % config.strap_every == 0:
-            strip.add_instance(
-                strap, Transform(translation=Point(x, 0)),
-                name=f"strap_{c}",
-            )
-            x += strap.width
-        column_x.append(x)
-        strip.add_instance(
-            bit, Transform(translation=Point(x, 0)), name=f"bit_{c}"
-        )
-        x += bit.width
+    columns = config.columns + spare_cols
+    strap_w = strap.width if strap is not None else 0
+    _tile_columns(strip, bit, "bit_{}", columns, bit.width,
+                  config.strap_every, strap_w, strap)
+    column_x = [_column_x(c, bit.width, config.strap_every, strap_w)
+                for c in range(columns)]
     array = Cell("array")
     total_rows = config.rows + spares
     array.tile(
@@ -310,16 +306,14 @@ def _build_column_row(config: RamConfig, process: Process,
     from repro.layout.cell import Port
 
     lam = process.lambda_cu
-    strap_w = config.strap_width_lambda * lam
+    strap_w = config.strap_width_lambda * lam if config.strap_every else 0
+    pitch = CELL_W * lam
+    columns = config.columns + spare_cols
     row = Cell(name)
-    x = 0
-    for c in range(config.columns + spare_cols):
-        if config.strap_every and c and c % config.strap_every == 0:
-            x += strap_w
-        row.add_instance(
-            template, Transform(translation=Point(x, 0)),
-            name=f"{template.name}_{c}",
-        )
+    _tile_columns(row, template, f"{template.name}_{{}}", columns, pitch,
+                  config.strap_every, strap_w)
+    for c in range(columns):
+        x = _column_x(c, pitch, config.strap_every, strap_w)
         for pname in ("bl", "blb", "bl2", "blb2",
                       "bl_t", "blb_t", "bl2_t", "blb2_t"):
             if template.has_port(pname):
@@ -328,7 +322,6 @@ def _build_column_row(config: RamConfig, process: Process,
                     f"{pname}_{c}", local.layer,
                     local.rect.translated(Point(x, 0)),
                 ))
-        x += CELL_W * lam
     return row
 
 
@@ -338,26 +331,27 @@ def _build_sense_row(config: RamConfig, process: Process) -> Cell:
     sense = senseamp_cell(process, config.gate_size)
     writer = write_driver_cell(process, config.gate_size)
     strap_w = config.strap_width_lambda * lam
-    row = Cell("sense_row")
-    for i in range(config.bpw):
+
+    def column_x(col: int) -> int:
         # Each subarray starts where its first bit column sits in the
-        # array strip: straps are inserted *before* every column that is
-        # a nonzero multiple of strap_every, so a boundary strap shifts
-        # the subarray too.  (The bit-cell strip and the mux row use the
-        # same accounting; a mismatch here misaligns the sense amps by a
-        # strap width at every strapped subarray boundary.)
-        first_col = i * config.bpc
-        x = first_col * CELL_W * lam
-        if config.strap_every:
-            x += (first_col // config.strap_every) * strap_w
-        row.add_instance(
-            sense, Transform(translation=Point(x, 0)), name=f"sa_{i}"
-        )
-        row.add_instance(
-            writer,
-            Transform(translation=Point(x + sense.width + 8 * lam, 0)),
-            name=f"wd_{i}",
-        )
+        # array strip, so a boundary strap shifts the subarray too.
+        # (The bit-cell strip and the mux row use the same accounting;
+        # a mismatch here misaligns the sense amps by a strap width at
+        # every strapped subarray boundary.)
+        return _column_x(col, CELL_W * lam, config.strap_every, strap_w)
+
+    # The layout repeats every lcm(bpc, strap_every) columns.
+    span = lcm(config.bpc, config.strap_every or config.bpc)
+    period = []
+    for i in range(span // config.bpc):
+        x = column_x(i * config.bpc)
+        period.append((sense, Transform(translation=Point(x, 0)),
+                       "sa_{}", i))
+        period.append((writer, Transform(
+            translation=Point(x + sense.width + 8 * lam, 0)), "wd_{}", i))
+    row = Cell("sense_row")
+    row.add_array(period, 2 * config.bpw, Point(column_x(span), 0),
+                  index_step=span // config.bpc)
     return row
 
 
@@ -375,23 +369,14 @@ def _build_decoder_column(config: RamConfig, process: Process,
     driver = wordline_driver_cell(process, config.gate_size)
     col = Cell(name)
     pitch = pitch or CELL_H * lam
-    for r in range(config.rows):
-        y = r * pitch
-        col.add_instance(
-            decoder, Transform(translation=Point(0, y)), name=f"dec_{r}"
-        )
-        col.add_instance(
-            driver,
-            Transform(translation=Point(decoder.width, y)),
-            name=f"drv_{r}",
-        )
-    for s in range(spares):
-        y = (config.rows + s) * pitch
-        col.add_instance(
-            driver,
-            Transform(translation=Point(decoder.width, y)),
-            name=f"spare_drv_{s}",
-        )
+    col.add_array([
+        (decoder, Transform(), "dec_{}", 0),
+        (driver, Transform(translation=Point(decoder.width, 0)), "drv_{}", 0),
+    ], 2 * config.rows, Point(0, pitch))
+    if spares:
+        col.add_array([(driver, Transform(translation=Point(
+            decoder.width, config.rows * pitch)), "spare_drv_{}", 0)],
+            spares, Point(0, pitch))
     return col
 
 
@@ -402,24 +387,8 @@ def _build_tlb(config: RamConfig, process: Process) -> Cell:
     cam = cam_cell(process)
     tri = tristate_buffer_cell(process, config.gate_size)
     tlb = Cell("tlb")
-    pitch_y = CELL_H * lam
-    for s in range(config.spares):
-        for b in range(config.row_address_bits):
-            tlb.add_instance(
-                cam,
-                Transform(translation=Point(b * cam.width, s * pitch_y)),
-                name=f"cam_{s}_{b}",
-            )
-        tlb.add_instance(
-            tri,
-            Transform(
-                translation=Point(
-                    config.row_address_bits * cam.width + 8 * lam,
-                    s * pitch_y,
-                )
-            ),
-            name=f"tri_{s}",
-        )
+    _tile_entries(tlb, cam, tri, config.spares, config.row_address_bits,
+                  CELL_H * lam, 8 * lam)
     return tlb
 
 
@@ -437,30 +406,12 @@ def _build_colsteer(config: RamConfig, process: Process) -> Cell:
     mux = column_mux_cell(process)
     col_addr_bits = max(1, (config.columns - 1).bit_length())
     steer = Cell("colsteer")
-    pitch_y = CELL_H * lam
-    for s in range(config.spare_cols):
-        for b in range(col_addr_bits):
-            steer.add_instance(
-                cam,
-                Transform(translation=Point(b * cam.width, s * pitch_y)),
-                name=f"cam_{s}_{b}",
-            )
-        steer.add_instance(
-            tri,
-            Transform(
-                translation=Point(
-                    col_addr_bits * cam.width + 8 * lam, s * pitch_y
-                )
-            ),
-            name=f"tri_{s}",
-        )
+    _tile_entries(steer, cam, tri, config.spare_cols, col_addr_bits,
+                  CELL_H * lam, 8 * lam)
     mux_x = col_addr_bits * cam.width + tri.width + 16 * lam
-    for i in range(config.bpw):
-        steer.add_instance(
-            mux,
-            Transform(translation=Point(mux_x + i * mux.width, 0)),
-            name=f"steer_mux_{i}",
-        )
+    steer.add_array(
+        [(mux, Transform(translation=Point(mux_x, 0)), "steer_mux_{}", 0)],
+        config.bpw, Point(mux.width, 0))
     return steer
 
 
@@ -470,17 +421,11 @@ def _build_datagen(config: RamConfig, process: Process) -> Cell:
     johnson = johnson_bit_cell(process)
     xor = comparator_slice_cell(process)
     dg = Cell("datagen")
-    x = 0
-    for i in range(stages):
-        dg.add_instance(
-            johnson, Transform(translation=Point(x, 0)), name=f"j_{i}"
-        )
-        x += johnson.width
-    for i in range(config.bpw):
-        dg.add_instance(
-            xor, Transform(translation=Point(x, 0)), name=f"xor_{i}"
-        )
-        x += xor.width
+    dg.add_array([(johnson, Transform(), "j_{}", 0)], stages,
+                 Point(johnson.width, 0))
+    dg.add_array([(xor, Transform(translation=Point(
+        stages * johnson.width, 0)), "xor_{}", 0)], config.bpw,
+        Point(xor.width, 0))
     return dg
 
 
@@ -489,10 +434,45 @@ def _tile_row(template: Cell, count: int, name: str) -> Cell:
     if count < 1:
         raise ValueError(f"{name}: need at least one cell")
     row = Cell(name)
-    for i in range(count):
-        row.add_instance(
-            template,
-            Transform(translation=Point(i * template.width, 0)),
-            name=f"{name}_{i}",
-        )
+    row.add_array([(template, Transform(), f"{name}_{{}}", 0)], count,
+                  Point(template.width, 0))
     return row
+
+
+def _column_x(col: int, pitch: int, run: int, gap: int) -> int:
+    """Where bit column ``col`` starts: columns ``pitch`` apart, with a
+    ``gap`` (a strap column) before every nonzero multiple of ``run``
+    (``run=0``: no gaps)."""
+    return col * pitch + (col // run) * gap if run else col * pitch
+
+
+def _tile_columns(row: Cell, cell: Cell, name: str, count: int,
+                  pitch: int, run: int, gap: int,
+                  strap: Optional[Cell] = None) -> None:
+    """``count`` columns of ``cell``, ``pitch`` apart, in runs of ``run``.
+
+    Consecutive runs are ``gap`` apart, the gap holding ``strap``
+    (named ``strap_<first column after it>``) when one is given;
+    ``run=0`` means one unbroken run.  ``name`` is the column's name
+    template (see :meth:`~repro.layout.cell.Cell.add_array`).
+    """
+    run = run or count
+    period = [(cell, Transform(translation=Point(j * pitch, 0)), name, j)
+              for j in range(run)]
+    placed = count
+    if strap is not None:
+        period.append((strap, Transform(translation=Point(run * pitch, 0)),
+                       "strap_{}", run))
+        placed += (count - 1) // run
+    row.add_array(period, placed, Point(run * pitch + gap, 0),
+                  index_step=run)
+
+
+def _tile_entries(cell: Cell, cam: Cell, tri: Cell, entries: int,
+                  bits: int, pitch: int, gap: int) -> None:
+    """CAM register rows: ``bits`` CAM cells and a tristate per entry."""
+    period = [(cam, Transform(translation=Point(b * cam.width, 0)),
+               f"cam_{{}}_{b}", 0) for b in range(bits)]
+    period.append((tri, Transform(translation=Point(
+        bits * cam.width + gap, 0)), "tri_{}", 0))
+    cell.add_array(period, entries * len(period), Point(0, pitch))

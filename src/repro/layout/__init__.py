@@ -8,7 +8,7 @@ the signals in adjacent modules are perfectly aligned and connected by
 abutments") can be checked exactly.
 """
 
-from repro.layout.cell import Cell, CellInstance, Port
+from repro.layout.cell import Cell, CellInstance, InstanceArray, Port
 from repro.layout.drc import DrcChecker, DrcViolation
 from repro.layout.cif import write_cif
 from repro.layout.render import render_svg, render_ascii
@@ -17,6 +17,7 @@ from repro.layout.library import CellLibrary
 __all__ = [
     "Cell",
     "CellInstance",
+    "InstanceArray",
     "Port",
     "DrcChecker",
     "DrcViolation",

@@ -13,9 +13,10 @@ the *controller burned into it* is the right machine:
   per delay element.
 * **personality equivalence** — the AND/OR plane matrices (as built,
   or as read back from plane files) are exhaustively evaluated over
-  every state x condition assignment and compared against the
-  microprogram semantics, so a single corrupted microword is caught
-  and named.
+  every state x condition assignment, by indexing the packed truth
+  table :attr:`~repro.bist.trpla.Trpla.table`, and compared against
+  the microprogram semantics, so a single corrupted microword is
+  caught and named.
 * **BISR invariants** — a short fault-injected self-test run must
   leave the TLB with strictly increasing spare assignments, no
   duplicate rows, and translations that land inside the spare band.
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.bist.controller import build_test_program
 from repro.bist.march import IFA_9, MarchTest
 from repro.bist.microcode import Microprogram, assemble
-from repro.bist.trpla import Trpla
+from repro.bist.trpla import MAX_TABLE_INPUTS, Trpla
 from repro.verify.report import SignoffFinding
 
 #: Cap on the equivalence sweep's per-state condition assignments; with
@@ -197,20 +198,39 @@ def check_personality(program: Microprogram,
     control_outputs = assembled.output_names[state_bits:]
 
     findings: List[SignoffFinding] = []
+    if program.states and pla.n_inputs != state_bits + len(conds):
+        first = next(iter(program.states))
+        return [_finding(
+            "microword-mismatch", first,
+            f"PLA evaluation failed in state {first}: expected "
+            f"{pla.n_inputs} inputs, got {state_bits + len(conds)}")]
+    # The packed input word holds the state code in its low bits and
+    # condition j in bit state_bits + j (the layout of Trpla.table).
+    if pla.n_inputs <= MAX_TABLE_INPUTS:
+        word = pla.table.__getitem__
+    else:
+        def word(packed: int) -> int:
+            # Too wide for a dense table: evaluate the sum of products.
+            outs = pla.evaluate(
+                [(packed >> k) & 1 for k in range(pla.n_inputs)])
+            return sum(bit << o for o, bit in enumerate(outs))
+    # Output words unpacked into Trpla.evaluate's output vector, so a
+    # plane with too few outputs fails exactly as it always has.
+    unpacked: Dict[int, Tuple[int, ...]] = {}
+    state_mask = (1 << state_bits) - 1
     assignments = list(product((0, 1), repeat=len(conds)))
     if len(assignments) > _MAX_ASSIGNMENTS:
         assignments = assignments[:_MAX_ASSIGNMENTS]
+    cond_words = [sum(v << (state_bits + j) for j, v in enumerate(values))
+                  for values in assignments]
     for inst in program.states.values():
-        code = encoding[inst.name]
-        state_inputs = [(code >> b) & 1 for b in range(state_bits)]
-        for values in assignments:
-            inputs = state_inputs + list(values)
-            try:
-                outputs = pla.evaluate(inputs)
-            except (IndexError, ValueError) as error:
-                return [_finding(
-                    "microword-mismatch", inst.name,
-                    f"PLA evaluation failed in state {inst.name}: {error}")]
+        code = encoding[inst.name] & state_mask
+        for values, cond_word in zip(assignments, cond_words):
+            packed = word(code | cond_word)
+            outputs = unpacked.get(packed)
+            if outputs is None:
+                outputs = unpacked[packed] = tuple(
+                    (packed >> o) & 1 for o in range(pla.n_outputs))
             got_next = 0
             for b in range(state_bits):
                 if outputs[b]:

@@ -34,8 +34,13 @@ Kernels.  Leaf and zone checks share the sweeps of
   diffusions (``_crossings``);
 * enclosure — a grid point-location index over each metal layer;
 * zone collection — :class:`_PlacedShapes` caches each cell's shapes
-  per orientation for one call and translates only the shapes a zone
-  selects.
+  per orientation for one call, finds the elements of an instance
+  array near a zone by index arithmetic, and translates only the
+  shapes a zone selects;
+* zone folding — a long zone is cut where the arrays crossing it
+  start an element, and each distinct window (by its placement
+  signature) is checked once (:func:`_folds_clean`).  Only a zone
+  with a flagged window is checked whole.
 
 A zone sees only the shapes inside it, so a ``min-space`` between two
 of its groups is confirmed by growing the zone until the shapes join
@@ -57,7 +62,7 @@ from typing import (Callable, Collection, Dict, List, MutableMapping,
                     Optional, Sequence, Tuple)
 
 from repro.geometry import Orientation, Rect, Transform
-from repro.layout.cell import Cell
+from repro.layout.cell import Cell, InstanceArray
 from repro.layout.drc import (
     DrcChecker,
     DrcViolation,
@@ -65,6 +70,9 @@ from repro.layout.drc import (
     _connected_groups,
     _crossings,
     _endcap_violation,
+    _group_ids,
+    _near_pairs,
+    _sweep,
 )
 from repro.tech.process import Process
 
@@ -199,22 +207,46 @@ def _halo_cu(process: Process) -> int:
     return max(values) if values else 0
 
 
+def _repeats(lo: int, hi: int, a1: int, a2: int, step: int,
+             count: int) -> Tuple[int, int]:
+    """Repeats ``k`` of ``[a1, a2] + k * step`` that meet ``[lo, hi]``.
+
+    Returned as a half-open range clipped to ``[0, count)``.
+    """
+    if step > 0:
+        k1, k2 = -((a2 - lo) // step), (hi - a1) // step
+    elif step < 0:
+        k1, k2 = -((hi - a1) // -step), (a2 - lo) // -step
+    else:
+        return (0, count) if a1 <= hi and lo <= a2 else (0, 0)
+    return max(k1, 0), min(k2 + 1, count)
+
+
 class _PlacedShapes:
     """Per-call cache of each cell's geometry under each orientation.
 
     A view holds the cell's bounding box, its drawn shapes and its
-    instances' placements with the orientation already applied at the
-    origin.  Placing a view is then a translation, done only for the
-    shapes a region selects, so a shape is transformed once per
-    orientation rather than once per placement.  Views are keyed by
-    cell identity, not content hash: the hash ignores drawing order,
-    and the order of a zone's shapes sets the spacing kernel's
-    tie-breaks.  The cache lives as long as one
-    :func:`hierarchical_drc` call.
+    instance entries as *runs* with the orientation already applied at
+    the origin.  A run is a period of placements repeated ``count``
+    times at a fixed step: a single instance is a one-placement run of
+    one, and an :class:`~repro.layout.cell.InstanceArray` becomes its
+    full repeats plus, when the last one is partial, a run of one
+    holding that prefix.  Index arithmetic (:func:`_repeats`) then
+    finds the repeats near a region without visiting the others, and
+    placing a view is a translation, done only for the shapes a region
+    selects.  Views are keyed by cell identity, not content hash: the
+    hash ignores drawing order, and the order of a zone's shapes sets
+    the spacing kernel's tie-breaks.  The cache, and the verdicts of
+    the zone windows checked so far (:attr:`windows`), live as long as
+    one :func:`hierarchical_drc` call.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, hash_memo: Optional[dict] = None) -> None:
         self._views: Dict[tuple, tuple] = {}
+        self._arrayed: Dict[int, bool] = {}
+        self._hash_memo = hash_memo if hash_memo is not None else {}
+        #: Window signature -> whether that window is clean.
+        self.windows: Dict[tuple, bool] = {}
 
     def _view(self, cell: Cell, orientation: Orientation) -> tuple:
         key = (id(cell), orientation)
@@ -230,13 +262,71 @@ class _PlacedShapes:
                 if rect.area:
                     r = rect.transformed(turn)
                     shapes.append((layer, r.x1, r.y1, r.x2, r.y2))
-            children = []
-            for inst in cell.instances():
-                eff = turn.compose(inst.transform)
-                children.append((inst.cell, eff.orientation,
-                                 eff.translation.x, eff.translation.y))
-            view = self._views[key] = (box, shapes, children)
+            runs = []
+            base = 0
+            for entry in cell.entries():
+                if isinstance(entry, InstanceArray):
+                    period, count = entry.period, entry.count
+                    sx, sy = turn.apply_xy(entry.step.x, entry.step.y)
+                else:
+                    period, count, sx, sy = (entry,), 1, 0, 0
+                placements = [self._placement(turn, inst)
+                              for inst in period]
+                full, rest = divmod(count, len(period))
+                if full:
+                    runs.append(self._run(placements, full, sx, sy, base))
+                if rest:
+                    tail = [(c, o, dx + full * sx, dy + full * sy, b, leaf)
+                            for c, o, dx, dy, b, leaf in placements[:rest]]
+                    runs.append(self._run(tail, 1, sx, sy,
+                                          base + full * len(period)))
+                base += count
+            view = self._views[key] = (box, shapes, runs)
         return view
+
+    def _placement(self, turn: Transform, inst) -> tuple:
+        """``(cell, orientation, dx, dy, box, leaf key)`` in a view frame."""
+        eff = turn.compose(inst.transform)
+        child = inst.cell
+        leaf = (None if child.entries()
+                else cell_hash(child, self._hash_memo))
+        return (child, eff.orientation, eff.translation.x,
+                eff.translation.y, self._view(child, eff.orientation)[0],
+                leaf)
+
+    @staticmethod
+    def _run(placements: list, count: int, sx: int, sy: int,
+             base: int) -> tuple:
+        boxes = [(dx + b[0], dy + b[1], dx + b[2], dy + b[3])
+                 for _, _, dx, dy, b, _ in placements if b is not None]
+        pbox = (min(b[0] for b in boxes), min(b[1] for b in boxes),
+                max(b[2] for b in boxes), max(b[3] for b in boxes)
+                ) if boxes else None
+        return (tuple(placements), count, sx, sy, pbox, base)
+
+    def _has_arrays(self, cell: Cell) -> bool:
+        """Whether ``cell`` or any cell below it holds an array."""
+        found = self._arrayed.get(id(cell))
+        if found is None:
+            found = self._arrayed[id(cell)] = any(
+                isinstance(entry, InstanceArray)
+                or self._has_arrays(entry.cell)
+                for entry in cell.entries())
+        return found
+
+    @staticmethod
+    def _span(run: tuple, rx1: int, ry1: int, rx2: int, ry2: int,
+              ) -> range:
+        """The repeats of ``run`` whose period box meets the region."""
+        _, count, sx, sy, pbox, _ = run
+        if pbox is None:
+            return range(0)
+        if count == 1:
+            return range(pbox[0] <= rx2 and rx1 <= pbox[2]
+                         and pbox[1] <= ry2 and ry1 <= pbox[3])
+        x1, x2 = _repeats(rx1, rx2, pbox[0], pbox[2], sx, count)
+        y1, y2 = _repeats(ry1, ry2, pbox[1], pbox[3], sy, count)
+        return range(max(x1, y1), min(x2, y2))
 
     def collect(self, cell: Cell, transform: Transform, region: Rect,
                 out: List[Tuple[str, Rect]],
@@ -253,7 +343,7 @@ class _PlacedShapes:
                       out, layers)
 
     def _collect(self, cell, orientation, tx, ty, region, out, layers):
-        box, shapes, children = self._view(cell, orientation)
+        box, shapes, runs = self._view(cell, orientation)
         if box is None:
             return
         # Compare in the view's own frame: shift the region, not shapes.
@@ -267,9 +357,146 @@ class _PlacedShapes:
                     and (layers is None or layer in layers):
                 out.append((layer, Rect(x1 + tx, y1 + ty,
                                         x2 + tx, y2 + ty)))
-        for child, orient, dx, dy in children:
-            self._collect(child, orient, tx + dx, ty + dy, region, out,
-                          layers)
+        for run in runs:
+            period, _, sx, sy, _, _ = run
+            for k in self._span(run, rx1, ry1, rx2, ry2):
+                ox, oy = tx + k * sx, ty + k * sy
+                for child, orient, dx, dy, _, _ in period:
+                    self._collect(child, orient, ox + dx, oy + dy, region,
+                                  out, layers)
+
+    def sourced(self, cell: Cell, region: Rect,
+                layers: Optional[Collection[str]] = None,
+                ) -> Dict[str, List[Tuple[Rect, int]]]:
+        """``cell``'s shapes meeting ``region`` by layer, with sources.
+
+        Source 0 is the cell's own drawn geometry; source ``k + 1`` is
+        its ``k``-th instance, arrays expanded (the order of
+        :meth:`~repro.layout.cell.Cell.instances`).  Shapes come out in
+        that order too.
+        """
+        r = (region.x1, region.y1, region.x2, region.y2)
+        _, shapes, runs = self._view(cell, Orientation.R0)
+        by_layer: Dict[str, List[Tuple[Rect, int]]] = {}
+        for layer, x1, y1, x2, y2 in shapes:
+            if x1 <= r[2] and r[0] <= x2 and y1 <= r[3] and r[1] <= y2 \
+                    and (layers is None or layer in layers):
+                by_layer.setdefault(layer, []).append(
+                    (Rect(x1, y1, x2, y2), 0))
+        collected: List[Tuple[str, Rect]] = []
+        for run in runs:
+            period, _, sx, sy, _, base = run
+            for k in self._span(run, *r):
+                for j, (child, orient, dx, dy, _, _) in enumerate(period):
+                    self._collect(child, orient, k * sx + dx,
+                                  k * sy + dy, r, collected, layers)
+                    source = base + k * len(period) + j + 1
+                    for layer, rect in collected:
+                        by_layer.setdefault(layer, []).append(
+                            (rect, source))
+                    collected.clear()
+        return by_layer
+
+    # -- zone folding ------------------------------------------------------
+
+    def cuts(self, cell: Cell, region: Rect, axis: int) -> List[int]:
+        """Where the arrays crossing ``region`` start an element.
+
+        Descends through single instances and through arrays that step
+        across ``axis`` (0 = x, 1 = y) down to the arrays that step
+        along it, and returns the sorted low edges of their elements
+        strictly inside the region.
+        """
+        found: set = set()
+        bounds = (region.x1, region.y1, region.x2, region.y2)
+        if self._has_arrays(cell):
+            self._cuts(cell, Orientation.R0, 0, 0, bounds, axis, found)
+        return sorted(c for c in found
+                      if bounds[axis] < c < bounds[axis + 2])
+
+    def _cuts(self, cell, orientation, tx, ty, region, axis, found):
+        _, _, runs = self._view(cell, orientation)
+        rx1, ry1 = region[0] - tx, region[1] - ty
+        rx2, ry2 = region[2] - tx, region[3] - ty
+        for run in runs:
+            period, _, sx, sy, _, _ = run
+            along = sy if axis else sx
+            for k in self._span(run, rx1, ry1, rx2, ry2):
+                ox, oy = tx + k * sx, ty + k * sy
+                for child, orient, dx, dy, box, leaf in period:
+                    if box is None:
+                        continue
+                    if along:
+                        found.add(oy + dy + box[1] if axis
+                                  else ox + dx + box[0])
+                    elif leaf is None and self._has_arrays(child):
+                        self._cuts(child, orient, ox + dx, oy + dy,
+                                   region, axis, found)
+
+    def atoms(self, cell: Cell, region: Rect, axis: int) -> List[tuple]:
+        """What the windows of a zone are made of, sorted along ``axis``.
+
+        Every leaf placement meeting ``region`` as ``(lo, hi, "c",
+        source, (content hash, orientation), x, y)`` and every drawn
+        shape of the composites above them as ``(lo, hi, "s", source,
+        layer, x1, y1, x2, y2)``, where ``lo``/``hi`` is the extent
+        along ``axis`` and the source is as in :meth:`sourced`.
+        """
+        found: List[tuple] = []
+        self._atoms(cell, Orientation.R0, 0, 0,
+                    (region.x1, region.y1, region.x2, region.y2), 0, axis,
+                    found)
+        found.sort(key=lambda atom: atom[0])
+        return found
+
+    def _atoms(self, cell, orientation, tx, ty, region, source, axis, found):
+        box, shapes, runs = self._view(cell, orientation)
+        rx1, ry1 = region[0] - tx, region[1] - ty
+        rx2, ry2 = region[2] - tx, region[3] - ty
+        if box is None or not (box[0] <= rx2 and rx1 <= box[2]
+                               and box[1] <= ry2 and ry1 <= box[3]):
+            return
+        for layer, x1, y1, x2, y2 in shapes:
+            if x1 <= rx2 and rx1 <= x2 and y1 <= ry2 and ry1 <= y2:
+                x1, y1, x2, y2 = x1 + tx, y1 + ty, x2 + tx, y2 + ty
+                found.append(((y1, y2) if axis else (x1, x2))
+                             + ("s", source, layer, x1, y1, x2, y2))
+        for run in runs:
+            period, _, sx, sy, _, base = run
+            for k in self._span(run, rx1, ry1, rx2, ry2):
+                ox, oy = tx + k * sx, ty + k * sy
+                for j, (child, orient, dx, dy, b, leaf) in enumerate(period):
+                    src = source or base + k * len(period) + j + 1
+                    x, y = ox + dx, oy + dy
+                    if leaf is None:
+                        self._atoms(child, orient, x, y, region, src, axis,
+                                    found)
+                    elif b is not None and (
+                            b[0] + x <= region[2] and region[0] <= b[2] + x
+                            and b[1] + y <= region[3]
+                            and region[1] <= b[3] + y):
+                        found.append(((b[1] + y, b[3] + y) if axis
+                                      else (b[0] + x, b[2] + x))
+                                     + ("c", src, (leaf, orient), x, y))
+
+
+def _clip(box: Tuple[int, int, int, int],
+          clip: Tuple[Optional[int], Optional[int]], axis: int,
+          ) -> Optional[Tuple[int, int, int, int]]:
+    """``box`` cut to ``clip`` along ``axis``; None when nothing is left.
+
+    A ``None`` bound leaves that side uncut.
+    """
+    lo, hi = clip
+    a1, a2 = box[axis], box[axis + 2]
+    if lo is not None:
+        a1 = max(a1, lo)
+    if hi is not None:
+        a2 = min(a2, hi)
+    if a1 >= a2:
+        return None
+    return ((a1, box[1], a2, box[3]) if axis == 0
+            else (box[0], a1, box[2], a2))
 
 
 def _cross_spacing(checker: DrcChecker, layer: str,
@@ -339,7 +566,9 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
     each parent-drawn shape — and examines cross-source pairs inside
     them.  Identical pairs (same child content hashes, orientations,
     and relative offset) are checked once, so a 256-row array pays for
-    one row seam, not 255.
+    one row seam, not 255; and a long zone — one row seam still holds
+    every bit column — is proved clean from its distinct windows
+    (:func:`_folds_clean`).
     """
     own: List[Tuple[str, Rect]] = [
         (layer, rect) for layer, rect in cell.shapes() if rect.area > 0]
@@ -360,23 +589,6 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
     whole = cell.bbox()
     corner_touch = checker.process.rules.corner_touch_connects()
 
-    def zone_items(region: Rect, layers: Optional[Collection[str]] = None,
-                   ) -> Dict[str, List[Tuple[Rect, int]]]:
-        by_layer: Dict[str, List[Tuple[Rect, int]]] = {}
-        for layer, rect in own:
-            if rect.intersects(region) and (layers is None
-                                            or layer in layers):
-                by_layer.setdefault(layer, []).append((rect, 0))
-        for k, inst in enumerate(insts):
-            if boxes[k] is None or not boxes[k].intersects(region):
-                continue
-            collected: List[Tuple[str, Rect]] = []
-            placed.collect(inst.cell, inst.transform, region, collected,
-                           layers)
-            for layer, rect in collected:
-                by_layer.setdefault(layer, []).append((rect, k + 1))
-        return by_layer
-
     def joined(layer: str, region: Rect) -> Callable[[Rect, Rect], bool]:
         """Whether two shapes of a zone are one polygon outside it.
 
@@ -391,8 +603,8 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
             while True:
                 grown = grown.expanded(margin)
                 margin *= 2
-                rects = [r for r, _ in zone_items(
-                    grown, (layer,)).get(layer, ())]
+                rects = [r for r, _ in placed.sourced(
+                    cell, grown, (layer,)).get(layer, ())]
                 ids = _connected_groups(rects, corner_touch)
                 ga, gb = ids[rects.index(a)], ids[rects.index(b)]
                 if ga == gb:
@@ -407,8 +619,10 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
         return check
 
     def check_zone(region: Rect) -> List[DrcViolation]:
+        if _folds_clean(cell, region, checker, halo, placed):
+            return []
         found: List[DrcViolation] = []
-        by_layer = zone_items(region)
+        by_layer = placed.sourced(cell, region)
         for layer, items in sorted(by_layer.items()):
             n_own = sum(1 for _, src in items if src == 0)
             if len({src for _, src in items}) < 2 and n_own < 2:
@@ -423,41 +637,42 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
             ))
         return found
 
-    # Instance-pair zones, deduped by relative placement: sweep over
-    # halo-expanded bboxes to find interacting pairs.
+    # Instance-pair zones, deduped by relative placement.  The pairs
+    # whose halo-expanded boxes meet come from the shared banded sweep
+    # and are visited in x1 order of the later box, then of the
+    # earlier one: the first pair of each placement class is its zone.
     expanded = [b.expanded(halo) if b is not None else None for b in boxes]
     seen: set = set()
     order = sorted(
         (k for k in range(len(insts)) if boxes[k] is not None),
-        key=lambda k: expanded[k].x1)
-    active: List[int] = []
-    for k in order:
-        e = expanded[k]
-        active = [a for a in active if expanded[a].x2 >= e.x1]
-        for a in active:
-            if not expanded[a].intersects(boxes[k]):
-                continue
-            ta, tk = insts[a].transform, insts[k].transform
-            key_a = (cell_hash(insts[a].cell, hash_memo),
-                     ta.orientation.value)
-            key_k = (cell_hash(insts[k].cell, hash_memo),
-                     tk.orientation.value)
-            dx = tk.translation.x - ta.translation.x
-            dy = tk.translation.y - ta.translation.y
-            if (key_k, key_a) < (key_a, key_k):
-                sig = (key_k, key_a, -dx, -dy)
-            else:
-                sig = (key_a, key_k, dx, dy)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            window = expanded[a].intersection(expanded[k])
-            if window is None:
-                continue
-            violations.extend(check_zone(window.expanded(2 * halo)))
-            if len(violations) >= max_violations:
-                return _dedup(violations)[:max_violations]
-        active.append(k)
+        key=lambda k: boxes[k].x1)
+    rank = {k: i for i, k in enumerate(order)}
+    pairs = []
+    for i, j, _, _ in _near_pairs(
+            [(boxes[k].x1, boxes[k].y1, boxes[k].x2, boxes[k].y2)
+             for k in order], halo + 1):
+        a, k = order[min(i, j)], order[max(i, j)]
+        pairs.append((rank[k], rank[a], a, k))
+    pairs.sort()
+    for _, _, a, k in pairs:
+        ta, tk = insts[a].transform, insts[k].transform
+        key_a = (cell_hash(insts[a].cell, hash_memo), ta.orientation.value)
+        key_k = (cell_hash(insts[k].cell, hash_memo), tk.orientation.value)
+        dx = tk.translation.x - ta.translation.x
+        dy = tk.translation.y - ta.translation.y
+        if (key_k, key_a) < (key_a, key_k):
+            sig = (key_k, key_a, -dx, -dy)
+        else:
+            sig = (key_a, key_k, dx, dy)
+        if sig in seen:
+            continue
+        seen.add(sig)
+        window = expanded[a].intersection(expanded[k])
+        if window is None:
+            continue
+        violations.extend(check_zone(window.expanded(2 * halo)))
+        if len(violations) >= max_violations:
+            return _dedup(violations)[:max_violations]
 
     # One zone per parent-drawn shape: catches routing-vs-instance and
     # routing-vs-routing interactions wherever the parent drew.
@@ -473,7 +688,8 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
     if own_cuts:
         enclosure_view: Dict[str, List[Rect]] = {}
         for _, cut in own_cuts:
-            for layer, items in zone_items(cut.expanded(halo)).items():
+            for layer, items in placed.sourced(
+                    cell, cut.expanded(halo)).items():
                 enclosure_view.setdefault(layer, []).extend(
                     r for r, _ in items)
         for cut_layer in DrcChecker._CUT_ENCLOSURES:
@@ -482,6 +698,146 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
         violations.extend(checker._check_enclosures(enclosure_view))
 
     return _dedup(violations)[:max_violations]
+
+
+#: Fewest windows a zone is cut into before folding pays off.
+_FOLD_MIN_WINDOWS = 8
+
+
+def _folds_clean(cell: Cell, region: Rect, checker: DrcChecker, halo: int,
+                 placed: _PlacedShapes) -> bool:
+    """Whether a long zone is provably clean from its distinct windows.
+
+    The zone is cut along its long axis where the arrays crossing it
+    start an element (:meth:`_PlacedShapes.cuts`).  Each window spans
+    one cut interval plus ``halo`` on either side, so two shapes closer
+    than any spacing rule meet in one window; shapes are cut to the
+    window along the axis except at the zone's own ends.
+
+    A window's *signature* is what it holds relative to its origin:
+    each leaf placement's content hash, orientation and offset, and
+    each parent-drawn shape cut to the window, all tagged with their
+    source ranked among the window's sources.  Equal signatures mean
+    the same geometry up to a translation, so each distinct signature
+    is checked once (:func:`_window_clean`).  A window check flags a
+    superset of what the zone check reports, so when every window is
+    clean the zone is; otherwise the caller checks the whole zone, and
+    reports exactly what the expanded zone check reports.
+    """
+    axis = 0 if region.width >= region.height else 1
+    cuts = placed.cuts(cell, region, axis)
+    if len(cuts) + 1 < _FOLD_MIN_WINDOWS:
+        return False
+    lo, hi = (region.x1, region.x2) if axis == 0 else (region.y1, region.y2)
+    across = (region.y1, region.y2) if axis == 0 else (region.x1, region.x2)
+    atoms = placed.atoms(cell, region, axis)
+    bounds = [lo] + cuts + [hi]
+    last = len(bounds) - 2
+    active: List[tuple] = []
+    pending = 0
+    for i in range(last + 1):
+        a, b = bounds[i], bounds[i + 1]
+        w1, w2 = max(lo, a - halo), min(hi, b + halo)
+        clip = (a - halo if i else None, b + halo if i < last else None)
+        # Windows only move forward: slide the atoms meeting [w1, w2].
+        while pending < len(atoms) and atoms[pending][0] <= w2:
+            active.append(atoms[pending])
+            pending += 1
+        active = [atom for atom in active if atom[1] >= w1]
+        sig = _signature(active, a, axis, clip, (w1 - a, w2 - a), across)
+        clean = placed.windows.get(sig)
+        if clean is None:
+            window = (Rect(w1, region.y1, w2, region.y2) if axis == 0
+                      else Rect(region.x1, w1, region.x2, w2))
+            clean = placed.windows[sig] = _window_clean(
+                checker, placed.sourced(cell, window), clip, axis)
+        if not clean:
+            return False
+    return True
+
+
+def _signature(atoms: Sequence[tuple], origin: int, axis: int,
+               clip: Tuple[Optional[int], Optional[int]],
+               span: Tuple[int, int], across: Tuple[int, int]) -> tuple:
+    """One window's signature (see :func:`_folds_clean`).
+
+    The window spans ``span`` from ``origin`` along ``axis`` and the
+    zone's ``across`` range on the other axis.  Offsets are taken from
+    ``origin`` along ``axis`` and kept absolute across it, like
+    ``across`` itself.
+    """
+    sources = sorted({atom[3] for atom in atoms} - {0})
+    rank = {src: k for k, src in enumerate(sources, 1)}
+    ox, oy = (0, origin) if axis else (origin, 0)
+    held = []
+    for atom in atoms:
+        if atom[2] == "c":
+            _, _, kind, src, key, x, y = atom
+            held.append((kind, rank.get(src, 0), key[0], key[1].value,
+                         x - ox, y - oy))
+        else:
+            _, _, kind, src, layer, x1, y1, x2, y2 = atom
+            cut = _clip((x1, y1, x2, y2), clip, axis)
+            if cut is not None:
+                held.append((kind, rank.get(src, 0), layer,
+                             cut[0] - ox, cut[1] - oy,
+                             cut[2] - ox, cut[3] - oy))
+    held.sort()
+    lo, hi = clip
+    return (axis, span, across,
+            None if lo is None else lo - origin,
+            None if hi is None else hi - origin, tuple(held))
+
+
+def _window_clean(checker: DrcChecker,
+                  by_layer: Dict[str, List[Tuple[Rect, int]]],
+                  clip: Tuple[Optional[int], Optional[int]],
+                  axis: int) -> bool:
+    """No seam candidate in one window, its shapes cut to ``clip``.
+
+    The zone check reports, per pair of connected groups, the closest
+    shape pair when it crosses sources, and every poly/diffusion
+    crossing between sources that breaks the endcap rule.  Here a
+    group pair is flagged when *any* of its closest pairs crosses
+    sources, and every crossing between sources is flagged.  Cutting
+    shapes only splits groups and keeps every gap inside the window,
+    so a zone violation always shows up in some window.
+    """
+    rules = checker.process.rules.rules
+    corner_touch = checker.process.rules.corner_touch_connects()
+    cut: Dict[str, List[Tuple[Rect, int]]] = {}
+    for layer, items in by_layer.items():
+        for rect, src in items:
+            box = _clip((rect.x1, rect.y1, rect.x2, rect.y2), clip, axis)
+            if box is not None:
+                cut.setdefault(layer, []).append((Rect(*box), src))
+    for layer, items in cut.items():
+        required = rules.get(f"space.{layer}")
+        if not required or len(items) < 2:
+            continue
+        rects = [r for r, _ in items]
+        ds, close = _sweep(rects, required, corner_touch)
+        gid = _group_ids(ds, len(rects))
+        best: Dict[Tuple[int, int], Tuple[int, bool]] = {}
+        for gap, a, b in close:
+            ga, gb = gid[a], gid[b]
+            if ga == gb:
+                continue
+            pair = (ga, gb) if ga < gb else (gb, ga)
+            crossing = items[a][1] != items[b][1] or items[a][1] == 0
+            found = best.get(pair)
+            if found is None or gap < found[0] or (gap == found[0]
+                                                   and crossing):
+                best[pair] = (gap, crossing)
+        if any(crossing for _, crossing in best.values()):
+            return False
+    polys = cut.get("poly", ())
+    for diff_layer in ("ndiff", "pdiff"):
+        diffs = cut.get(diff_layer, ())
+        for d, p in _crossings([r for r, _ in polys], [r for r, _ in diffs]):
+            if diffs[d][1] != polys[p][1]:
+                return False
+    return True
 
 
 def _dedup(violations: Sequence[DrcViolation]) -> List[DrcViolation]:
@@ -516,7 +872,7 @@ def hierarchical_drc(
     deck = process.rules.digest()
     halo = _halo_cu(process)
     hash_memo: dict = {}
-    placed = _PlacedShapes()
+    placed = _PlacedShapes(hash_memo)
     result = HierDrcResult()
     hits0, misses0 = cache.hits, cache.misses
     t0 = time.perf_counter()
@@ -548,7 +904,10 @@ def hierarchical_drc(
                 verdict = tuple(_composite_check(
                     sub, checker, halo, hash_memo, placed, budget))
                 seam_s += time.perf_counter() - started
-            cache.store(key, verdict)
+            # A verdict as long as its budget may have been cut short;
+            # only a complete one may answer a later, larger budget.
+            if len(verdict) < budget:
+                cache.store(key, verdict)
         if verdict:
             bucket = (result.leaf_violations if is_leaf
                       else result.assembly_violations)

@@ -143,7 +143,12 @@ def test_dense_soups_match_reference():
 
 @st.composite
 def hierarchies(draw):
-    """A three-level cell tree placed in all eight orientations."""
+    """A three-level cell tree placed in all eight orientations.
+
+    Each level also places an instance array — a period of one to
+    three placements repeated at a step of either sign — so zone
+    collection's index arithmetic meets every orientation of a step.
+    """
     leaf = Cell("leaf")
     for layer, x, y, w, h in draw(st.lists(
             st.tuples(st.sampled_from(LAYERS[:3]), st.integers(-20, 20),
@@ -159,6 +164,16 @@ def hierarchies(draw):
                           st.integers(-60, 60), st.integers(-60, 60)),
                 min_size=1, max_size=4)):
             parent.add_instance(child, Transform(orient, Point(x, y)))
+        period = draw(st.lists(
+            st.tuples(st.sampled_from(ALL_ORIENTATIONS),
+                      st.integers(-30, 30), st.integers(-30, 30)),
+            min_size=1, max_size=3))
+        parent.add_array(
+            [(child, Transform(orient, Point(x, y)), "a_{}", 0)
+             for orient, x, y in period],
+            count=draw(st.integers(1, 7)),
+            step=Point(draw(st.integers(-40, 40)),
+                       draw(st.integers(-40, 40))))
         parent.add_shape("metal1", Rect(0, 0, 5, 5))
         cells.append(parent)
     x, y = draw(st.integers(-120, 120)), draw(st.integers(-120, 120))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.bist.controller import build_test_program
-from repro.bist.march import IFA_9, MATS_PLUS
+from repro.bist.march import ALL_TESTS, IFA_9, MATS_PLUS
 from repro.bist.microcode import MicroInstruction, Microprogram, assemble
 from repro.bist.trpla import Trpla
 from repro.verify import (
@@ -16,6 +16,9 @@ from repro.verify import (
     check_personality,
     check_reachability,
 )
+from repro.verify import control
+
+from tests import control_reference as ref
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +119,60 @@ class TestPersonality:
         findings = check_personality(program, bad)
         assert findings
         assert all(f.kind == "microword-mismatch" for f in findings)
+
+
+def _flips(plane, stride):
+    """Copies of ``plane`` with one bit flipped, every ``stride``-th bit."""
+    cells = [(t, c) for t in range(len(plane))
+             for c in range(len(plane[0]))][::stride]
+    for t, c in cells:
+        flipped = [list(row) for row in plane]
+        flipped[t][c] ^= 1
+        yield flipped
+
+
+class TestPersonalityTable:
+    """The table-driven check matches the ``evaluate`` reference loop."""
+
+    @pytest.mark.parametrize("march", ALL_TESTS, ids=lambda t: t.name)
+    def test_clean_planes_agree(self, march):
+        program = build_test_program(march, 2)
+        assert check_personality(program) == ref.check_personality(program)
+        assert check_personality(program) == []
+
+    @pytest.mark.parametrize("max_findings", (1, 50))
+    def test_flipped_planes_agree(self, program, max_findings):
+        asm = assemble(program)
+        dirty = 0
+        for and_plane in _flips(asm.and_plane, 401):
+            pla = Trpla(and_plane, asm.or_plane)
+            got = check_personality(program, pla, max_findings)
+            assert got == ref.check_personality(program, pla, max_findings)
+            dirty += bool(got)
+        for or_plane in _flips(asm.or_plane, 367):
+            pla = Trpla(asm.and_plane, or_plane)
+            got = check_personality(program, pla, max_findings)
+            assert got == ref.check_personality(program, pla, max_findings)
+            dirty += bool(got)
+        assert dirty, "no flip was visible: the comparison has no teeth"
+
+    def test_mismatched_planes_agree(self, program):
+        asm = assemble(program)
+        narrow = Trpla([row[2:] for row in asm.and_plane], asm.or_plane)
+        for pla in (Trpla(asm.and_plane[:4], asm.or_plane[:4]), narrow):
+            assert check_personality(program, pla) == \
+                ref.check_personality(program, pla)
+        assert check_personality(program, narrow)
+
+    def test_wide_pla_evaluates_sum_of_products(self, program, monkeypatch):
+        # A PLA wider than the dense table evaluates each assignment.
+        monkeypatch.setattr(control, "MAX_TABLE_INPUTS", 0)
+        asm = assemble(program)
+        or_plane = [list(row) for row in asm.or_plane]
+        or_plane[0][0] ^= 1
+        for pla in (None, Trpla(asm.and_plane, or_plane)):
+            assert check_personality(program, pla) == \
+                ref.check_personality(program, pla)
 
 
 class TestBisrInvariants:
