@@ -187,12 +187,19 @@ class _ConfirmingTarget:
     suspected failure by re-reading against the shadow.  Rejected
     suspects get the expected value scrubbed back, healing transient
     content corruption on the spot.
+
+    Writes a fault-sparse march applies in bulk are shadowed as
+    ``(lo, hi, word)`` spans.  A row the march once ran op by op it
+    never bulk-writes later in the run (faults stay, diversions only
+    grow, and steering switches on with repair mode), so a
+    per-address write is always newer than a span covering it.
     """
 
     def __init__(self, target: TestTarget, policy: EscalationPolicy) -> None:
         self.target = target
         self.policy = policy
         self._shadow = {}
+        self._spans: List[Tuple[int, int, int]] = []
         self.confirmed: List[int] = []
         self.rejected: List[int] = []
         self.probe_reads = 0
@@ -217,8 +224,29 @@ class _ConfirmingTarget:
     def reset_for_test(self) -> None:
         self.target.reset_for_test()
 
-    def record_fail(self, address: int) -> None:
+    def quiet_sweep(self, expect, final, last, reads, writes):
+        sweep = getattr(self.target, "quiet_sweep", None)
+        plan = sweep(expect, final, last, reads, writes) if sweep else None
+        if plan is None or final is None:
+            return plan
+        busy, advance = plan
+
+        def advance_shadowed(lo: int, hi: int) -> None:
+            advance(lo, hi)
+            self._spans.append((lo, hi, final))
+
+        return busy, advance_shadowed
+
+    def _expected(self, address: int) -> Optional[int]:
         expected = self._shadow.get(address)
+        if expected is None:
+            for lo, hi, word in reversed(self._spans):
+                if lo <= address < hi:
+                    return word
+        return expected
+
+    def record_fail(self, address: int) -> None:
+        expected = self._expected(address)
         if expected is None:
             # Nothing written yet — cannot adjudicate; trust the hit.
             self.target.record_fail(address)

@@ -78,7 +78,17 @@ class BistResult:
 
 
 class BistScheduler:
-    """Algorithmic reference implementation of the two-pass self-test."""
+    """Algorithmic reference implementation of the two-pass self-test.
+
+    The op-by-op loop (:meth:`_run_ops`) is the reference.  A target
+    that also offers ``quiet_sweep`` (see
+    :meth:`~repro.memsim.device.BisrRam.quiet_sweep`) is run fault
+    sparse: each element goes op by op only over the rows a fault,
+    diversion or steering touches, and advances each run of other rows
+    in one bulk step that leaves counters, cells and column history as
+    the loop would.  ``record_ops`` and targets without the hook keep
+    the op-by-op loop everywhere.
+    """
 
     def __init__(self, march: MarchTest, bpw: int,
                  record_ops: bool = False) -> None:
@@ -121,40 +131,104 @@ class BistScheduler:
     def _run_single_pass(self, target: TestTarget, pass_no: int,
                          verification: bool, result: BistResult) -> bool:
         any_fail = False
+        sweep = None if self.record_ops else getattr(
+            target, "quiet_sweep", None)
         self.datagen.reset()
         while True:
             for element in self.march.elements:
                 if element.is_delay:
                     target.retention_wait()
                     continue
-                addresses = self._addresses(element, target.word_count)
-                for address in addresses:
-                    for op in element.ops:
-                        result.op_count += 1
-                        if self.record_ops:
-                            result.ops.append(
-                                MemoryOp(
-                                    pass_no,
-                                    self.datagen.index,
-                                    address,
-                                    op.is_read,
-                                    op.data_bit,
-                                )
-                            )
-                        if op.is_read:
-                            word = target.read(address)
-                            if self.datagen.compare(word, op.data_bit):
-                                any_fail = True
-                                result.fail_count += 1
-                                if not verification:
-                                    target.record_fail(address)
-                        else:
-                            target.write(
-                                address, self.datagen.pattern(op.data_bit)
-                            )
+                plan = self._quiet_plan(sweep, element) if sweep else None
+                if plan is None:
+                    addresses = self._addresses(element, target.word_count)
+                    any_fail |= self._run_ops(target, addresses, element,
+                                              pass_no, verification, result)
+                else:
+                    any_fail |= self._run_sparse(target, plan, element,
+                                                 pass_no, verification,
+                                                 result)
             if self.datagen.done:
                 break
             self.datagen.step()
+        return any_fail
+
+    def _run_ops(self, target: TestTarget, addresses, element: MarchElement,
+                 pass_no: int, verification: bool,
+                 result: BistResult) -> bool:
+        """The reference loop: every op of ``element`` at each address."""
+        any_fail = False
+        for address in addresses:
+            for op in element.ops:
+                result.op_count += 1
+                if self.record_ops:
+                    result.ops.append(
+                        MemoryOp(
+                            pass_no,
+                            self.datagen.index,
+                            address,
+                            op.is_read,
+                            op.data_bit,
+                        )
+                    )
+                if op.is_read:
+                    word = target.read(address)
+                    if self.datagen.compare(word, op.data_bit):
+                        any_fail = True
+                        result.fail_count += 1
+                        if not verification:
+                            target.record_fail(address)
+                else:
+                    target.write(address, self.datagen.pattern(op.data_bit))
+        return any_fail
+
+    def _quiet_plan(self, sweep, element: MarchElement):
+        """Ask the target to split ``element`` (see ``quiet_sweep``).
+
+        None, for the op-by-op loop, when a read after the element's
+        first write expects something other than that write: every
+        row would then fail.
+        """
+        leading: List[int] = []
+        written = None
+        for op in element.ops:
+            if not op.is_read:
+                written = op.data_bit
+            elif written is None:
+                leading.append(op.data_bit)
+            elif op.data_bit != written:
+                return None
+        pattern = self.datagen.pattern
+        reads = sum(op.is_read for op in element.ops)
+        return sweep(
+            sorted({pattern(bit) for bit in leading}),
+            None if written is None else pattern(written),
+            pattern(element.ops[-1].data_bit),
+            reads, len(element.ops) - reads,
+        )
+
+    def _run_sparse(self, target: TestTarget, plan, element: MarchElement,
+                    pass_no: int, verification: bool,
+                    result: BistResult) -> bool:
+        """Busy spans op by op, the quiet runs between them in bulk."""
+        busy, advance = plan
+        edges = [0] + [edge for span in busy for edge in span]
+        edges.append(target.word_count)
+        # Alternating quiet and busy segments, in march order.
+        segments = list(enumerate(zip(edges, edges[1:])))
+        down = element.order is Order.DOWN
+        if down:
+            segments.reverse()
+        any_fail = False
+        for index, (lo, hi) in segments:
+            if index % 2:
+                addresses = range(hi - 1, lo - 1, -1) if down else \
+                    range(lo, hi)
+                any_fail |= self._run_ops(target, addresses, element,
+                                          pass_no, verification, result)
+            elif lo < hi:
+                advance(lo, hi)
+                result.op_count += (hi - lo) * len(element.ops)
         return any_fail
 
     @staticmethod

@@ -70,6 +70,11 @@ class PortView:
     def reset_for_test(self) -> None:
         self.device.reset_for_test()
 
+    def quiet_sweep(self, expect, final, last, reads, writes):
+        return self.device.quiet_sweep(
+            expect, final, last, reads, writes,
+            read_port=self.read_port, write_port=self.write_port)
+
 
 def port_bindings(ports: int) -> List[Tuple[str, int, int]]:
     """The (label, write_port, read_port) sweep for a device.

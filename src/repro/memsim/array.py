@@ -23,7 +23,8 @@ written without column steering, moves as one strided slice of the
 cell store (word bit ``i`` of column ``c`` is cell ``base + c + i *
 bpc``).  Every other access resolves bit by bit through the fault
 hooks; that per-bit path is the reference the slice path is tested
-against.
+against.  The fault-sparse march (``BisrRam.quiet_sweep``) also
+moves whole runs of fault-free rows at once with :meth:`sweep_rows`.
 """
 
 from __future__ import annotations
@@ -230,8 +231,7 @@ class MemoryArray:
         row, column = self._locate(address, row_override)
         self.write_count += 1
         if not col_map and row not in self._faulty_rows:
-            bits = format(word & self._word_mask, self._word_format)
-            bits = bits.encode("ascii").translate(_FROM_ASCII)[::-1]
+            bits = self._word_bits(word)
             base = row * self.row_stride
             self._bits[base + column:base + self.phys_cols:self.bpc] = bits
             self._column_last[column:self.phys_cols:self.bpc] = bits
@@ -258,8 +258,53 @@ class MemoryArray:
 
     def fill(self, pattern_word: int) -> None:
         """Fault-free bulk initialise every word (test setup helper)."""
-        image = bytes((pattern_word >> bit) & 1
-                      for bit in range(self.bpw) for _ in range(self.bpc))
-        for row in range(self.total_rows):
-            base = row * self.row_stride
-            self._bits[base:base + self.phys_cols] = image
+        self._fill_rows(0, self.total_rows, self.row_image(pattern_word))
+
+    # -- whole-row access (the fault-sparse march) --------------------------------
+
+    def _word_bits(self, word: int) -> bytes:
+        """``word`` as cell bytes, word bit ``i`` at index ``i``."""
+        bits = format(word & self._word_mask, self._word_format)
+        return bits.encode("ascii").translate(_FROM_ASCII)[::-1]
+
+    def row_image(self, word: int) -> bytes:
+        """The regular cells of a row that holds ``word`` at every column."""
+        bits = self._word_bits(word)
+        image = bytearray(self.phys_cols)
+        for column in range(self.bpc):
+            image[column::self.bpc] = bits
+        return bytes(image)
+
+    def rows_hold(self, lo: int, hi: int, image: bytes) -> bool:
+        """True when rows ``lo..hi-1`` all store ``image``."""
+        stride, width = self.row_stride, self.phys_cols
+        if stride == width:
+            return self._bits[lo * stride:hi * stride] == image * (hi - lo)
+        return all(self._bits[base:base + width] == image
+                   for base in range(lo * stride, hi * stride, stride))
+
+    def _fill_rows(self, lo: int, hi: int, image: bytes) -> None:
+        stride, width = self.row_stride, self.phys_cols
+        if stride == width:
+            self._bits[lo * stride:hi * stride] = image * (hi - lo)
+            return
+        for base in range(lo * stride, hi * stride, stride):
+            self._bits[base:base + width] = image
+
+    def sweep_rows(self, lo: int, hi: int, reads: int, writes: int,
+                   final: Optional[bytes], last: bytes) -> None:
+        """Apply one march element to fault-free rows ``lo..hi-1`` at once.
+
+        Leaves what the word-by-word slice path leaves: the counters
+        advance by ``reads`` and ``writes``, every row holds ``final``
+        (the image of the element's last write; None for an element
+        that only reads) and every regular column last carried
+        ``last``, the image of the element's last op.  The caller
+        guarantees that no fault touches these rows and that each read
+        would have returned what it expects.
+        """
+        self.read_count += reads
+        self.write_count += writes
+        if final is not None:
+            self._fill_rows(lo, hi, final)
+        self._column_last[:self.phys_cols] = last

@@ -16,7 +16,7 @@ cells too, so a diverted row still benefits from steering).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.bisr.colsteer import ColumnSteer
 from repro.bisr.tlb import Tlb
@@ -109,6 +109,68 @@ class BisrRam:
     def retention_wait(self) -> None:
         """The embedded processor tristates the interface; cells leak."""
         self.array.apply_retention()
+
+    def quiet_sweep(self, expect: Sequence[int], final: Optional[int],
+                    last: int, reads: int, writes: int,
+                    read_port: int = 0, write_port: int = 0):
+        """Split one march element into busy rows and a bulk step.
+
+        A row is *busy* when a fault touches it (a coupling fault
+        touches its aggressor and victim rows) or when repair mode is
+        on and the TLB diverts it; with column steering active every
+        row is.  The other rows are *quiet*: the element reads back
+        what it expects there, records nothing and draws no random
+        number, so it can advance a whole run of them at once.
+
+        Args:
+            expect: the words the element's reads before its first
+                write expect.
+            final: the word the element writes last; None when it only
+                reads.
+            last: the word the element's last op drives or senses.
+            reads, writes: the element's ops of each kind per address.
+            read_port, write_port: the ports those ops go through.
+
+        Returns:
+            ``(busy, advance)``: ``busy`` lists the ``(lo, hi)``
+            word-address span of each busy row, ascending, which the
+            caller runs op by op; ``advance(lo, hi)`` applies the
+            element to the quiet words ``lo..hi-1`` (whole rows) and
+            leaves the op counters, ``port_ops``, the cell image and
+            the column history exactly as the op-by-op path would.
+            None when the whole element must run op by op: steering
+            is active, every row is busy, or a quiet row does not hold
+            what a leading read expects.
+        """
+        if self.repair_mode and len(self.colsteer):
+            return None
+        array = self.array
+        rows, bpc = array.rows, array.bpc
+        busy = set(array.faulty_rows())
+        if self.repair_mode:
+            busy.update(self.tlb.mapped_rows())
+        busy = sorted(row for row in busy if row < rows)
+        edges = [0] + [edge for row in busy for edge in (row, row + 1)]
+        edges.append(rows)
+        quiet = [(lo, hi) for lo, hi in zip(edges[::2], edges[1::2])
+                 if lo < hi]
+        if not quiet:
+            return None
+        for word in expect:
+            image = array.row_image(word)
+            if not all(array.rows_hold(lo, hi, image) for lo, hi in quiet):
+                return None
+        final_image = None if final is None else array.row_image(final)
+        last_image = array.row_image(last)
+
+        def advance(lo: int, hi: int) -> None:
+            words = hi - lo
+            self.port_ops[read_port] += words * reads
+            self.port_ops[write_port] += words * writes
+            array.sweep_rows(lo // bpc, hi // bpc, words * reads,
+                             words * writes, final_image, last_image)
+
+        return [(row * bpc, row * bpc + bpc) for row in busy], advance
 
     # -- internals ---------------------------------------------------------------
 

@@ -12,9 +12,9 @@ validator (:mod:`repro.techreg.validate`), and resolved into a
 Decks are discovered from three sources, later overriding earlier:
 
 1. descriptor files packaged under ``repro/techreg/decks/``: the
-   paper's ``cda05``/``mos06``/``cda07``/``mos08`` as JSON (so the
-   default deck loads on every supported Python), plus ``scn4m`` and
-   ``pfin7``,
+   paper's ``cda05``/``mos06``/``cda07``/``mos08`` plus ``scn4m`` and
+   ``pfin7``, all JSON so that every packaged deck loads on every
+   supported Python,
 2. ``repro.techs`` entry points exported by installed packages, each
    naming a descriptor file,
 3. search directories — the ``REPRO_TECH_DIR`` environment variable

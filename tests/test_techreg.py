@@ -6,6 +6,7 @@ copy of a deck is the same deck no matter where the registry found it.
 """
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -48,16 +49,23 @@ def _config(**overrides):
     return RamConfig(**params)
 
 
+def _packaged(name):
+    """The parsed packaged descriptor of deck ``name``."""
+    return json.loads((PACKAGED / f"{name}.json").read_text())
+
+
+def _write_deck(path, data):
+    path.write_text(json.dumps(data, indent=2) + "\n")
+    return path
+
+
 class TestValidator:
     def _bad_deck(self, tmp_path):
-        path = tmp_path / "bad.toml"
-        path.write_text(
-            '[tech]\nname = "2bad"\ndeck_type = "lambda"\n'
-            'feature_um = -0.5\nmetal_layers = 2\nvdd = 3.3\n'
-            '[rules]\n"width.metal9" = 3\n'
-            '"touch.corner_connects" = 7\n'
-        )
-        return path
+        return _write_deck(tmp_path / "bad.json", {
+            "tech": {"name": "2bad", "deck_type": "lambda",
+                     "feature_um": -0.5, "metal_layers": 2, "vdd": 3.3},
+            "rules": {"width.metal9": 3, "touch.corner_connects": 7},
+        })
 
     def test_per_field_errors(self, tmp_path):
         desc = load_descriptor(self._bad_deck(tmp_path))
@@ -78,12 +86,9 @@ class TestValidator:
         assert isinstance(exc.value, ReproError)
 
     def test_absolute_deck_missing_rule_named(self, tmp_path):
-        text = (PACKAGED / "pfin7.toml").read_text()
-        assert '"width.poly"' in text
-        lines = [l for l in text.splitlines()
-                 if not l.startswith('"width.poly"')]
-        path = tmp_path / "gap.toml"
-        path.write_text("\n".join(lines) + "\n")
+        deck = _packaged("pfin7")
+        del deck["rules"]["width.poly"]
+        path = _write_deck(tmp_path / "gap.json", deck)
         problems = validate_descriptor(load_descriptor(path))
         assert any("width.poly" in p.message for p in problems)
 
@@ -120,7 +125,7 @@ class TestRegistry:
         assert "cda07" in str(exc.value)
 
     def test_search_dir_shadows_packaged(self, fresh_registry, tmp_path):
-        shutil.copy(PACKAGED / "scn4m.toml", tmp_path / "scn4m.toml")
+        shutil.copy(PACKAGED / "scn4m.json", tmp_path / "scn4m.json")
         fresh_registry.add_search_dir(tmp_path)
         row = {r["name"]: r for r in fresh_registry.entries()}["scn4m"]
         assert row["origin"] == "dir"
@@ -128,9 +133,9 @@ class TestRegistry:
 
     def test_env_var_directory(self, fresh_registry, tmp_path,
                                monkeypatch):
-        deck = (PACKAGED / "scn4m.toml").read_text().replace(
-            'name = "scn4m"', 'name = "envdeck"')
-        (tmp_path / "envdeck.toml").write_text(deck)
+        deck = _packaged("scn4m")
+        deck["tech"]["name"] = "envdeck"
+        _write_deck(tmp_path / "envdeck.json", deck)
         monkeypatch.setenv("REPRO_TECH_DIR", str(tmp_path))
         fresh_registry.rescan()
         assert get_process("envdeck").name == "envdeck"
@@ -143,13 +148,13 @@ class TestRegistry:
 
     def test_renamed_deck_stops_answering_to_its_old_name(
             self, fresh_registry, tmp_path):
-        deck = (PACKAGED / "scn4m.toml").read_text().replace(
-            'name = "scn4m"', 'name = "mydeck"')
-        path = tmp_path / "mydeck.toml"
-        path.write_text(deck)
+        deck = _packaged("scn4m")
+        deck["tech"]["name"] = "mydeck"
+        path = _write_deck(tmp_path / "mydeck.json", deck)
         fresh_registry.add_search_dir(tmp_path)
         assert get_process("mydeck").name == "mydeck"
-        path.write_text(deck.replace('name = "mydeck"', 'name = "other"'))
+        deck["tech"]["name"] = "other"
+        _write_deck(path, deck)
         with pytest.raises(UnknownProcessError):
             get_process("mydeck")
         assert "mydeck" not in fresh_registry.names()
@@ -157,8 +162,8 @@ class TestRegistry:
 
     def test_deleted_shadow_falls_back_to_packaged(self, fresh_registry,
                                                    tmp_path):
-        shadow = tmp_path / "scn4m.toml"
-        shutil.copy(PACKAGED / "scn4m.toml", shadow)
+        shadow = tmp_path / "scn4m.json"
+        shutil.copy(PACKAGED / "scn4m.json", shadow)
         fresh_registry.add_search_dir(tmp_path)
         get_process("scn4m")
         assert fresh_registry.descriptor("scn4m").source == str(shadow)
@@ -166,32 +171,40 @@ class TestRegistry:
         assert get_process("scn4m").fingerprint() == \
             TestFingerprintIdentity.GOLDEN_FINGERPRINTS["scn4m"]
         assert fresh_registry.descriptor("scn4m").source == \
-            str(PACKAGED / "scn4m.toml")
+            str(PACKAGED / "scn4m.json")
 
-    def test_toml_decks_without_tomllib_are_scan_warnings(self):
-        """Python < 3.11 has no tomllib: the TOML decks drop out of the
-        scan with a warning, and the JSON paper decks still load."""
+    def test_toml_decks_without_tomllib_are_scan_warnings(self, tmp_path):
+        """Python < 3.11 has no tomllib: a user's TOML deck drops out of
+        the scan with a warning, and every packaged deck still loads."""
+        (tmp_path / "tomldeck.toml").write_text(
+            '[tech]\nname = "tomldeck"\ndeck_type = "lambda"\n'
+            'feature_um = 0.4\nmetal_layers = 3\nvdd = 3.3\n'
+            '[nmos]\nnode_um = 0.4\n[pmos]\nnode_um = 0.4\n'
+            '[wire]\nr_ohm_sq = 0.06\nc_af_um = 80.0\n')
         blocked = "import sys; sys.modules['tomllib'] = None; "
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        env.pop("REPRO_TECH_DIR", None)
+        env = dict(os.environ, PYTHONPATH=str(SRC),
+                   REPRO_TECH_DIR=str(tmp_path))
+        golden = TestFingerprintIdentity.GOLDEN_FINGERPRINTS
         lookup = subprocess.run(
             [sys.executable, "-c", blocked +
              "from repro.tech import get_process; "
-             "print(get_process('cda07').fingerprint())"],
+             f"names = {sorted(golden)!r}; "
+             "print(*(get_process(n).fingerprint() for n in names))"],
             capture_output=True, text=True, env=env)
         assert lookup.returncode == 0, lookup.stderr
-        assert lookup.stdout.strip() == \
-            TestFingerprintIdentity.GOLDEN_FINGERPRINTS["cda07"]
+        assert lookup.stdout.split() == [golden[n] for n in sorted(golden)]
         listing = subprocess.run(
             [sys.executable, "-c", blocked +
              "from repro.cli import main; sys.exit(main(['tech', 'list']))"],
             capture_output=True, text=True, env=env)
         assert listing.returncode == 0, listing.stderr
-        assert "cda07" in listing.stdout
-        for deck in ("scn4m.toml", "pfin7.toml"):
-            warning = [line for line in listing.stderr.splitlines()
-                       if line.startswith("warning:") and deck in line]
-            assert warning and "Python 3.11" in warning[0], listing.stderr
+        for name in PACKAGED_NAMES:
+            assert name in listing.stdout
+        assert "tomldeck" not in listing.stdout
+        warning = [line for line in listing.stderr.splitlines()
+                   if line.startswith("warning:")
+                   and "tomldeck.toml" in line]
+        assert warning and "Python 3.11" in warning[0], listing.stderr
 
 
 class TestFingerprintIdentity:
@@ -214,7 +227,7 @@ class TestFingerprintIdentity:
                                                  tmp_path):
         baseline = _config(process="scn4m").digest()
         fp = get_process("scn4m").fingerprint()
-        shutil.copy(PACKAGED / "scn4m.toml", tmp_path / "scn4m.toml")
+        shutil.copy(PACKAGED / "scn4m.json", tmp_path / "scn4m.json")
         fresh_registry.add_search_dir(tmp_path)
         assert get_process("scn4m").fingerprint() == fp
         assert _config(process="scn4m").digest() == baseline
@@ -226,10 +239,10 @@ class TestFingerprintIdentity:
         config = _config(process="scn4m")
         baseline_digest = config.digest()
         baseline_key = bundle_key(config)
-        text = (PACKAGED / "scn4m.toml").read_text()
-        assert '"width.metal4" = 6' in text
-        (tmp_path / "scn4m.toml").write_text(
-            text.replace('"width.metal4" = 6', '"width.metal4" = 8'))
+        deck = _packaged("scn4m")
+        assert deck["rules"]["width.metal4"] == 6
+        deck["rules"]["width.metal4"] = 8
+        _write_deck(tmp_path / "scn4m.json", deck)
         fresh_registry.add_search_dir(tmp_path)
         assert get_process("scn4m").fingerprint() != \
             self.GOLDEN_FINGERPRINTS["scn4m"]
@@ -240,9 +253,10 @@ class TestFingerprintIdentity:
                                           tmp_path):
         """Comments/metadata are not identity: only rules and device
         parameters fingerprint."""
-        text = (PACKAGED / "scn4m.toml").read_text()
-        (tmp_path / "scn4m.toml").write_text(
-            text + "\n# trailing comment, not a rule\n")
+        deck = _packaged("scn4m")
+        deck["metadata"]["notes"].append("trailing note, not a rule")
+        deck["metadata"]["provenance"] = "edited provenance"
+        _write_deck(tmp_path / "scn4m.json", deck)
         fresh_registry.add_search_dir(tmp_path)
         assert get_process("scn4m").fingerprint() == \
             self.GOLDEN_FINGERPRINTS["scn4m"]
@@ -315,9 +329,10 @@ class TestCliSurface:
         origins = {row["name"]: row["origin"]
                    for row in fresh_registry.entries()}
         assert {origins[name] for name in PACKAGED_NAMES} == {"packaged"}
-        bad = tmp_path / "bad.toml"
-        bad.write_text('[tech]\nname = "x"\ndeck_type = "lambda"\n'
-                       'feature_um = 0.5\nmetal_layers = 3\nvdd = 5.0\n')
+        bad = _write_deck(tmp_path / "bad.json", {
+            "tech": {"name": "x", "deck_type": "lambda", "feature_um": 0.5,
+                     "metal_layers": 3, "vdd": 5.0},
+        })
         assert main(["tech", "validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "nmos" in err and "wire.r_ohm_sq" in err
@@ -326,9 +341,9 @@ class TestCliSurface:
                                     tmp_path):
         from repro.cli import main
 
-        deck = (PACKAGED / "scn4m.toml").read_text().replace(
-            'name = "scn4m"', 'name = "clideck"')
-        (tmp_path / "clideck.toml").write_text(deck)
+        deck = _packaged("scn4m")
+        deck["tech"]["name"] = "clideck"
+        _write_deck(tmp_path / "clideck.json", deck)
         assert main(["tech", "--tech-dir", str(tmp_path),
                      "show", "clideck"]) == 0
         out = capsys.readouterr().out
