@@ -17,6 +17,7 @@ is legal on every supported process.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 from repro.geometry import Rect
@@ -41,10 +42,7 @@ class CellBuilder:
         common (wire centre +- width/2) and must round consistently so a
         3-lambda-wide wire never loses a centimicron to round-to-even.
         """
-        import math
-
-        value = lam_units * self.lam
-        return int(math.floor(value + 0.5))
+        return math.floor(lam_units * self.lam + 0.5)
 
     def rect(self, layer: str, x1: float, y1: float, x2: float, y2: float
              ) -> Rect:

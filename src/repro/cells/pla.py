@@ -18,15 +18,20 @@ straightforward matter."
 * Clocked pseudo-NMOS pull-ups: one PMOS per product line (left header)
   and one per output line (top header), gated by the precharge lines.
 
+Each repeated structure (term header, literal column, AND device,
+handoff, output column, OR device, output pull-up) is drawn once as a
+template and stamped by translation, in drawing order.
+
 The logic function itself is evaluated by :class:`repro.bist.trpla.Trpla`
 from the same matrices, so layout and behaviour always agree.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence, Tuple
 
 from repro.cells.base import CellBuilder
+from repro.geometry import Rect
 from repro.layout.cell import Cell
 from repro.tech.process import Process
 
@@ -34,6 +39,9 @@ _ROW_PITCH = 16       # product-term pitch, lambda
 _COL_PITCH = 18       # literal/output column pitch, lambda
 _Y_FIRST_ROW = 14
 _X_FIRST_COL = 32
+
+#: A device template: ``(layer, x1, y1, x2, y2)`` in centimicrons.
+_Template = Tuple[Tuple[str, int, int, int, int], ...]
 
 
 def pla_cell(
@@ -70,6 +78,7 @@ def pla_cell(
         raise ValueError("OR plane rows must be non-empty and equal length")
 
     b = CellBuilder(name, process)
+    lam = b.lam
 
     def row_y(r: int) -> int:
         return _Y_FIRST_ROW + _ROW_PITCH * r
@@ -88,6 +97,70 @@ def pla_cell(
     top_rows = row_y(n_terms - 1)
     height = top_rows + 34
     width = out_x(n_outputs - 1) + 9 + 8
+    or_poly_end = out_x(n_outputs - 1) + 5
+    or_gnd_top = height - 26
+    y_pu = height - 14
+
+    # Each repeated structure is drawn once, at the lambda origin, and
+    # stamped by whole-lambda translation.  A whole lambda is a whole
+    # number of centimicrons, so a stamped shape lands exactly where
+    # drawing it in place would have rounded it.
+    def template(draw: Callable[[CellBuilder], None]) -> _Template:
+        t = CellBuilder(name, process)
+        draw(t)
+        return tuple((layer, r.x1, r.y1, r.x2, r.y2)
+                     for layer, r in t.cell.shapes())
+
+    def stamp(tpl: _Template, x: int, y: int) -> None:
+        dx, dy = x * lam, y * lam
+        b.cell.add_shapes([
+            (layer, Rect(x1 + dx, y1 + dy, x2 + dx, y2 + dy))
+            for layer, x1, y1, x2, y2 in tpl])
+
+    def header(t: CellBuilder) -> None:
+        # Product-term pull-up, its product metal2 line and GND row.
+        t.rect("pdiff", 7, -2, 21, 2)
+        t.contact("pdiff", 10, 0)
+        t.wire_h("metal1", 0, 10, 0)
+        t.contact("pdiff", 18, 0)
+        t.via1(18, 0)
+        t.wire_h("metal2", 16, handoff_x, 0)             # product line
+        t.wire_h("metal1", 26, trunk_x, 8)               # GND row
+
+    def literal(t: CellBuilder) -> None:
+        t.wire_v("poly", 3, top_rows + 8, 0)
+        t.contact("poly", 0, 3)
+
+    def and_device(t: CellBuilder) -> None:
+        t.rect("ndiff", -5, -2, 5, 2)
+        t.contact("ndiff", -4, 0)
+        t.via1(-4, 0)                                    # to product line
+        t.contact("ndiff", 4, 0)
+        t.wire_v("metal1", 0, 8, 4)                      # to GND row
+
+    def handoff(t: CellBuilder) -> None:
+        # Metal2 product line down to a poly line crossing the OR plane.
+        t.via1(handoff_x, 0)
+        t.contact("poly", handoff_x, 0)
+        t.wire_h("poly", handoff_x, or_poly_end, 0)
+
+    def output(t: CellBuilder) -> None:
+        t.wire_v("metal2", 0, height - 6, 0)             # output line
+        t.wire_v("metal1", 0, or_gnd_top, 9)             # GND column
+
+    def or_device(t: CellBuilder) -> None:
+        t.rect("ndiff", -2, -6, 2, 6)
+        t.contact("ndiff", 0, 4)
+        t.via1(0, 4)                                     # to output line
+        t.contact("ndiff", 0, -4)
+        t.wire_h("metal1", 0, 9, -4)                     # to GND column
+
+    def pull_up(t: CellBuilder) -> None:
+        t.rect("pdiff", -2, y_pu - 7, 2, y_pu + 7)
+        t.contact("pdiff", 0, y_pu + 5)
+        t.wire_v("metal1", y_pu + 5, height, 0)
+        t.contact("pdiff", 0, y_pu - 5)
+        t.via1(0, y_pu - 5)
 
     # Supply distribution: VDD rail left edge + top edge; GND trunk
     # between the planes, per-term GND rows (AND), per-output GND
@@ -100,72 +173,44 @@ def pla_cell(
     # Product-term pull-ups (left header) + product metal2 lines.
     b.wire_v("poly", 3, top_rows + 8, 14)                # pc_and gate line
     b.contact("poly", 14, 3)
+    tpl = template(header)
     for r in range(n_terms):
-        y = row_y(r)
-        b.rect("pdiff", 7, y - 2, 21, y + 2)
-        b.contact("pdiff", 10, y)
-        b.wire_h("metal1", 0, 10, y)
-        b.contact("pdiff", 18, y)
-        b.via1(18, y)
-        b.wire_h("metal2", 16, handoff_x, y)             # product line
-        b.wire_h("metal1", 26, trunk_x, y + 8)           # GND row
+        stamp(tpl, 0, row_y(r))
     b.rect("nwell", 2, _Y_FIRST_ROW - 7, 26, top_rows + 7)
 
     # AND-plane literal columns with input taps at the bottom.
+    tpl = template(literal)
     for c in range(n_literals):
-        x = lit_x(c)
-        b.wire_v("poly", 3, top_rows + 8, x)
-        b.contact("poly", x, 3)
+        stamp(tpl, lit_x(c), 0)
 
     # AND-plane devices.
+    tpl = template(and_device)
     for r in range(n_terms):
-        y = row_y(r)
+        bits = and_plane[r]
         for c in range(n_literals):
-            if not and_plane[r][c]:
-                continue
-            x = lit_x(c)
-            b.rect("ndiff", x - 5, y - 2, x + 5, y + 2)
-            b.contact("ndiff", x - 4, y)
-            b.via1(x - 4, y)                             # to product line
-            b.contact("ndiff", x + 4, y)
-            b.wire_v("metal1", y, y + 8, x + 4)          # to GND row
+            if bits[c]:
+                stamp(tpl, lit_x(c), row_y(r))
 
-    # Product handoff: metal2 product line down to a poly line that
-    # crosses the OR plane.
-    or_poly_end = out_x(n_outputs - 1) + 5
+    # Product handoff.
+    tpl = template(handoff)
     for r in range(n_terms):
-        y = row_y(r)
-        b.via1(handoff_x, y)
-        b.contact("poly", handoff_x, y)
-        b.wire_h("poly", handoff_x, or_poly_end, y)
+        stamp(tpl, 0, row_y(r))
 
     # OR-plane output columns, gnd columns, and devices.
-    or_gnd_top = height - 26
+    column, device = template(output), template(or_device)
     for j in range(n_outputs):
         x = out_x(j)
-        b.wire_v("metal2", 0, height - 6, x)             # output line
-        b.wire_v("metal1", 0, or_gnd_top, x + 9)         # GND column
+        stamp(column, x, 0)
         for r in range(n_terms):
-            if not or_plane[r][j]:
-                continue
-            y = row_y(r)
-            b.rect("ndiff", x - 2, y - 6, x + 2, y + 6)
-            b.contact("ndiff", x, y + 4)
-            b.via1(x, y + 4)                             # to output line
-            b.contact("ndiff", x, y - 4)
-            b.wire_h("metal1", x, x + 9, y - 4)          # to GND column
+            if or_plane[r][j]:
+                stamp(device, x, row_y(r))
 
     # Output pull-ups (top header) gated by pc_or.
-    y_pu = height - 14
     b.wire_h("poly", or_first - 8, or_poly_end, y_pu)    # pc_or gate line
     b.contact("poly", or_first - 8, y_pu)
+    tpl = template(pull_up)
     for j in range(n_outputs):
-        x = out_x(j)
-        b.rect("pdiff", x - 2, y_pu - 7, x + 2, y_pu + 7)
-        b.contact("pdiff", x, y_pu + 5)
-        b.wire_v("metal1", y_pu + 5, height, x)
-        b.contact("pdiff", x, y_pu - 5)
-        b.via1(x, y_pu - 5)
+        stamp(tpl, out_x(j), 0)
     b.rect(
         "nwell", or_first - 8, y_pu - 12,
         out_x(n_outputs - 1) + 7, y_pu + 12,

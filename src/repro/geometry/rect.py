@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.geometry.point import Point
-from repro.geometry.transform import Transform
+from repro.geometry.transform import Orientation, Transform
 
 
 @dataclass(frozen=True, order=True)
@@ -177,7 +177,17 @@ class Rect:
         return r
 
     def transformed(self, transform: Transform) -> "Rect":
-        """Apply a placement transform; the result is re-canonicalised."""
+        """Apply a placement transform; the result is re-canonicalised.
+
+        The identity returns ``self`` (rectangles are immutable) and a
+        pure translation just adds the offset.
+        """
+        t = transform.translation
+        if transform.orientation is Orientation.R0:
+            if not (t.x or t.y):
+                return self
+            return Rect(self.x1 + t.x, self.y1 + t.y,
+                        self.x2 + t.x, self.y2 + t.y)
         x1, y1 = transform.apply_xy(self.x1, self.y1)
         x2, y2 = transform.apply_xy(self.x2, self.y2)
         return Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
@@ -185,10 +195,11 @@ class Rect:
 
 def bounding_box(rects: Iterable[Rect]) -> Optional[Rect]:
     """Bounding box of a collection of rectangles (None when empty)."""
-    box = None
-    for r in rects:
-        box = r if box is None else box.union_bbox(r)
-    return box
+    rects = rects if isinstance(rects, (list, tuple)) else list(rects)
+    if not rects:
+        return None
+    return Rect(min([r.x1 for r in rects]), min([r.y1 for r in rects]),
+                max([r.x2 for r in rects]), max([r.y2 for r in rects]))
 
 
 def total_area(rects: Iterable[Rect]) -> int:

@@ -25,7 +25,8 @@ seam once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.geometry import Point, Rect, Transform, bounding_box
 from repro.geometry.transform import Orientation
@@ -149,6 +150,11 @@ class Cell:
     def add_shape(self, layer: str, rect: Rect) -> None:
         """Add one rectangle on ``layer``."""
         self._shapes.append((layer, rect))
+        self._bbox_dirty = True
+
+    def add_shapes(self, shapes: Iterable[Tuple[str, Rect]]) -> None:
+        """Add ``(layer, rect)`` pairs in order."""
+        self._shapes.extend(shapes)
         self._bbox_dirty = True
 
     def add_port(self, port: Port) -> None:
@@ -311,9 +317,13 @@ class Cell:
         """Yield every shape of the hierarchy in this cell's coordinates.
 
         ``max_depth`` limits recursion (0 = own shapes only); None means
-        full flattening.
+        full flattening.  Own shapes are yielded as stored, not copied.
         """
-        yield from self._flatten(Transform(), 0, max_depth)
+        yield from self._shapes
+        if max_depth is not None and max_depth <= 0:
+            return
+        for inst in self.instances():
+            yield from inst.cell._flatten(inst.transform, 1, max_depth)
 
     def _flatten(
         self, transform: Transform, depth: int, max_depth: Optional[int]

@@ -60,23 +60,24 @@ def write_cif(cell: Cell, stream: TextIO, layers: LayerSet) -> None:
         number = seen[c.name]
         stream.write(f"DS {number} 1 1;\n")
         stream.write(f"9 {c.name};\n")
+        lines = []
         current_layer = None
         for layer_name, rect in c.shapes():
-            if rect.area == 0:
+            w, h = rect.x2 - rect.x1, rect.y2 - rect.y1
+            if not (w and h):
                 continue
             layer = layers.get(layer_name)
             cif_layer = layer.cif_name if layer else layer_name.upper()
             if cif_layer != current_layer:
-                stream.write(f"L {cif_layer};\n")
+                lines.append(f"L {cif_layer};\n")
                 current_layer = cif_layer
-            cx, cy = rect.x1 + rect.x2, rect.y1 + rect.y2
             # CIF boxes take center coordinates; keep everything integral
             # by writing doubled database units when the center is not on
             # the grid (CIF allows any unit scaling via the DS header, but
             # doubling centers is the conventional trick).
-            stream.write(
-                f"B {rect.width * 2} {rect.height * 2} {cx} {cy};\n"
-            )
+            lines.append(f"B {w * 2} {h * 2} {rect.x1 + rect.x2} "
+                         f"{rect.y1 + rect.y2};\n")
+        stream.write("".join(lines))
         for inst in c.instances():
             child_no = seen[inst.cell.name]
             t = inst.transform

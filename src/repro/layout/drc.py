@@ -297,23 +297,25 @@ def _endcap_violation(poly: Rect, diff: Rect,
 
 
 class _PointIndex:
-    """Uniform-grid buckets of rectangles for point-containment queries.
+    """Uniform-grid buckets of boxes for point-containment queries.
 
-    Each rectangle is filed under every grid cell it covers, so the
-    rectangles containing a point are among those filed under the
-    point's own cell (see :func:`_grid_step` for the pitch).
+    Each ``(x1, y1, x2, y2)`` box is filed under every grid cell it
+    covers, so the boxes containing a point are among those filed under
+    the point's own cell (see :func:`_grid_step` for the pitch).
     """
 
-    def __init__(self, rects: Sequence[Rect]) -> None:
-        self._buckets: Dict[Tuple[int, int], List[Rect]] = defaultdict(list)
-        self._step = step = _grid_step(_boxes(rects))
-        for r in rects:
-            for gx in range(r.x1 // step, r.x2 // step + 1):
-                for gy in range(r.y1 // step, r.y2 // step + 1):
-                    self._buckets[(gx, gy)].append(r)
+    def __init__(self, boxes: Sequence[_Box]) -> None:
+        self._buckets: Dict[Tuple[int, int], List[_Box]] = defaultdict(list)
+        self._step = step = _grid_step(boxes)
+        buckets = self._buckets
+        for box in boxes:
+            x1, y1, x2, y2 = box
+            for gx in range(x1 // step, x2 // step + 1):
+                for gy in range(y1 // step, y2 // step + 1):
+                    buckets[(gx, gy)].append(box)
 
-    def at(self, x: int, y: int) -> Sequence[Rect]:
-        """Candidates (a superset) for the rectangles containing (x, y)."""
+    def at(self, x: int, y: int) -> Sequence[_Box]:
+        """Candidates (a superset) for the boxes containing (x, y)."""
         return self._buckets.get((x // self._step, y // self._step), ())
 
 
@@ -376,9 +378,10 @@ class DrcChecker:
             return []
         out = []
         for r in rects:
-            if r.area == 0:
+            w, h = r.x2 - r.x1, r.y2 - r.y1
+            if not (w and h):
                 continue  # zero-thickness port markers are not drawn metal
-            measured = min(r.width, r.height)
+            measured = w if w < h else h
             if measured < required:
                 out.append(
                     DrcViolation("min-width", layer, measured, required, r)
@@ -389,7 +392,7 @@ class DrcChecker:
         required = self._rule(f"space.{layer}")
         if required is None or len(rects) < 2:
             return []
-        solid = [r for r in rects if r.area > 0]
+        solid = [r for r in rects if r.x1 != r.x2 and r.y1 != r.y2]
         corner_touch = self.process.rules.corner_touch_connects()
         # A zero gap between *different* groups only happens when the
         # deck says corner contact does not conduct (otherwise the
@@ -404,7 +407,9 @@ class DrcChecker:
         self, by_layer: Dict[str, List[Rect]]
     ) -> List[DrcViolation]:
         # A metal shape enclosing a grown cut contains its lower-left
-        # corner, so a point-location index finds the candidates.
+        # corner, so a point-location index finds the candidates.  The
+        # deck's enclosure rules are positive, so the grown cut is
+        # canonical as computed.
         indexes: Dict[str, _PointIndex] = {}
         out = []
         for cut_layer, enclosers in self._CUT_ENCLOSURES.items():
@@ -417,12 +422,16 @@ class DrcChecker:
                     continue
                 if encloser not in indexes:
                     indexes[encloser] = _PointIndex(
-                        by_layer.get(encloser, []))
+                        _boxes(by_layer.get(encloser, [])))
                 metal = indexes[encloser]
                 for cut in cuts:
-                    grown = cut.expanded(required)
-                    if not any(m.contains_rect(grown)
-                               for m in metal.at(grown.x1, grown.y1)):
+                    x1, y1 = cut.x1 - required, cut.y1 - required
+                    x2, y2 = cut.x2 + required, cut.y2 + required
+                    for mx1, my1, mx2, my2 in metal.at(x1, y1):
+                        if mx1 <= x1 and my1 <= y1 and x2 <= mx2 \
+                                and y2 <= my2:
+                            break
+                    else:
                         margin = self._best_margin(
                             cut, metal.at(cut.x1, cut.y1))
                         out.append(
@@ -458,14 +467,12 @@ class DrcChecker:
         return out
 
     @staticmethod
-    def _best_margin(cut: Rect, metal: Sequence[Rect]) -> int:
-        """Largest enclosure margin any single metal shape achieves."""
+    def _best_margin(cut: Rect, metal: Sequence[_Box]) -> int:
+        """Largest enclosure margin any single metal box achieves."""
         best = -1
-        for m in metal:
-            if not m.contains_rect(cut):
-                continue
-            margin = min(
-                cut.x1 - m.x1, m.x2 - cut.x2, cut.y1 - m.y1, m.y2 - cut.y2
-            )
-            best = max(best, margin)
+        for mx1, my1, mx2, my2 in metal:
+            margin = min(cut.x1 - mx1, mx2 - cut.x2, cut.y1 - my1,
+                         my2 - cut.y2)
+            if margin > best:
+                best = margin
         return best

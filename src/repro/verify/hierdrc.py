@@ -85,17 +85,18 @@ def _shape_digest(cell: Cell,
     it covers; shapes are only ever appended, so an unchanged count
     means unchanged shapes and a warm sweep skips re-hashing them.
     """
-    count = len(cell.shapes())
+    shapes = cell.shapes()
+    count = len(shapes)
     found = known.get(cell) if known is not None else None
     if found is None or found[0] != count:
-        digest = hashlib.sha256()
-        # Plain-tuple keys sort like the (layer, Rect) pairs, only faster.
-        for layer, x1, y1, x2, y2 in sorted(
-                (layer, r.x1, r.y1, r.x2, r.y2)
-                for layer, r in cell.shapes()):
-            if x1 == x2 or y1 == y2:
-                continue
-            digest.update(f"s:{layer}:{x1}:{y1}:{x2}:{y2};".encode())
+        # Plain-tuple keys sort like the (layer, Rect) pairs, only
+        # faster; one joined update hashes what one per shape would.
+        digest = hashlib.sha256("".join([
+            f"s:{layer}:{x1}:{y1}:{x2}:{y2};"
+            for layer, x1, y1, x2, y2 in sorted(
+                [(layer, r.x1, r.y1, r.x2, r.y2)
+                 for layer, r in shapes])
+            if x1 != x2 and y1 != y2]).encode())
         found = (count, digest)
         if known is not None:
             known[cell] = found
@@ -243,25 +244,33 @@ class _PlacedShapes:
 
     def __init__(self, hash_memo: Optional[dict] = None) -> None:
         self._views: Dict[tuple, tuple] = {}
+        self._boxes: Dict[tuple, Optional[tuple]] = {}
         self._arrayed: Dict[int, bool] = {}
         self._hash_memo = hash_memo if hash_memo is not None else {}
         #: Window signature -> whether that window is clean.
         self.windows: Dict[tuple, bool] = {}
+
+    def _box(self, cell: Cell, orientation: Orientation) -> Optional[tuple]:
+        """``cell``'s bounding box turned by ``orientation``, as ints."""
+        key = (id(cell), orientation)
+        if key not in self._boxes:
+            box = cell.bbox()
+            if box is not None:
+                box = box.transformed(Transform(orientation))
+                box = (box.x1, box.y1, box.x2, box.y2)
+            self._boxes[key] = box
+        return self._boxes[key]
 
     def _view(self, cell: Cell, orientation: Orientation) -> tuple:
         key = (id(cell), orientation)
         view = self._views.get(key)
         if view is None:
             turn = Transform(orientation)
-            box = cell.bbox()
-            if box is not None:
-                box = box.transformed(turn)
-                box = (box.x1, box.y1, box.x2, box.y2)
-            shapes = []
-            for layer, rect in cell.shapes():
-                if rect.area:
-                    r = rect.transformed(turn)
-                    shapes.append((layer, r.x1, r.y1, r.x2, r.y2))
+            turned = (cell.shapes() if orientation is Orientation.R0
+                      else [(layer, r.transformed(turn))
+                            for layer, r in cell.shapes()])
+            shapes = [(layer, r.x1, r.y1, r.x2, r.y2) for layer, r in turned
+                      if r.x1 != r.x2 and r.y1 != r.y2]
             runs = []
             base = 0
             for entry in cell.entries():
@@ -281,17 +290,22 @@ class _PlacedShapes:
                     runs.append(self._run(tail, 1, sx, sy,
                                           base + full * len(period)))
                 base += count
-            view = self._views[key] = (box, shapes, runs)
+            view = self._views[key] = (self._box(cell, orientation),
+                                       shapes, runs)
         return view
 
     def _placement(self, turn: Transform, inst) -> tuple:
-        """``(cell, orientation, dx, dy, box, leaf key)`` in a view frame."""
+        """``(cell, orientation, dx, dy, box, leaf key)`` in a view frame.
+
+        Only the child's box is read here; its own view is built when a
+        region first reaches its shapes.
+        """
         eff = turn.compose(inst.transform)
         child = inst.cell
         leaf = (None if child.entries()
                 else cell_hash(child, self._hash_memo))
         return (child, eff.orientation, eff.translation.x,
-                eff.translation.y, self._view(child, eff.orientation)[0],
+                eff.translation.y, self._box(child, eff.orientation),
                 leaf)
 
     @staticmethod

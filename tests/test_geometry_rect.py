@@ -3,7 +3,14 @@
 import pytest
 
 from repro.geometry import Point, Rect, bounding_box, total_area
-from repro.geometry.transform import Orientation, Transform
+from repro.geometry.transform import ALL_ORIENTATIONS, Orientation, Transform
+
+
+def _matrix_transformed(rect, transform):
+    """The corner-mapping definition the fast paths must agree with."""
+    x1, y1 = transform.apply_xy(rect.x1, rect.y1)
+    x2, y2 = transform.apply_xy(rect.x2, rect.y2)
+    return Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
 
 
 class TestConstruction:
@@ -107,6 +114,17 @@ class TestDerivedRects:
         got = Rect(1, 2, 3, 5).transformed(t)
         assert got == Rect(-5, 1, -2, 3)
 
+    @pytest.mark.parametrize("orientation", ALL_ORIENTATIONS)
+    @pytest.mark.parametrize("offset", [(0, 0), (7, -3), (0, 11), (-4, 0)])
+    def test_transformed_matches_matrix_path(self, orientation, offset):
+        t = Transform(orientation, Point(*offset))
+        for rect in (Rect(1, 2, 3, 5), Rect(-6, -1, 0, 4), Rect(2, 2, 2, 9)):
+            assert rect.transformed(t) == _matrix_transformed(rect, t)
+
+    def test_transformed_identity_shares_the_rect(self):
+        rect = Rect(1, 2, 3, 5)
+        assert rect.transformed(Transform()) is rect
+
 
 class TestAggregates:
     def test_bounding_box(self):
@@ -115,6 +133,15 @@ class TestAggregates:
 
     def test_bounding_box_empty(self):
         assert bounding_box([]) is None
+        assert bounding_box(()) is None
+        assert bounding_box(r for r in ()) is None
+
+    def test_bounding_box_single(self):
+        assert bounding_box([Rect(3, -1, 4, 7)]) == Rect(3, -1, 4, 7)
+
+    def test_bounding_box_generator(self):
+        rects = [Rect(0, 0, 1, 1), Rect(5, -2, 6, 0), Rect(2, 3, 3, 9)]
+        assert bounding_box(r for r in rects) == Rect(0, -2, 6, 9)
 
     def test_total_area_disjoint(self):
         assert total_area([Rect(0, 0, 2, 2), Rect(5, 5, 7, 7)]) == 8

@@ -29,9 +29,17 @@ class TestWidth:
         assert violations[0].layer == "metal1"
         assert violations[0].measured == 3 * LAM - 1
 
+    def test_too_short_flagged_on_the_narrow_axis(self):
+        c = Cell("flat")
+        c.add_shape("metal1", Rect(0, 0, 20 * LAM, 3 * LAM - 2))
+        violations = checker().check(c)
+        assert [(v.rule, v.measured) for v in violations] == [
+            ("min-width", 3 * LAM - 2)]
+
     def test_zero_area_markers_ignored(self):
         c = Cell("marker")
         c.add_shape("metal1", Rect(5, 0, 5, 100))
+        c.add_shape("metal1", Rect(0, 7, 100, 7))
         assert checker().check(c) == []
 
     def test_layer_without_rule_ignored(self):
