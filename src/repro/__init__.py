@@ -22,9 +22,6 @@ Quickstart::
     assert result.repaired
 """
 
-from repro.core import BISRAMGen, CompiledRam, Datasheet, RamConfig, \
-    compile_ram
-
 __version__ = "1.0.0"
 
 __all__ = [
@@ -35,3 +32,13 @@ __all__ = [
     "compile_ram",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the compiler loads on first use of an export, so
+    # ``import repro.cli`` (and ``--help``) stay light.
+    if name in __all__:
+        import repro.core
+
+        return getattr(repro.core, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

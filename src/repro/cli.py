@@ -21,6 +21,11 @@ bisramgen campaign --driver montecarlo --trials 200000 --shards 16 \
                    --workers 4 --checkpoint run.jsonl [--resume]
 bisramgen verify   --words 256 --bpw 8 --bpc 4 [--cif m.cif] [--json]
 ```
+
+Each subcommand is declared once in :func:`build_parser`, from shared
+flag groups (``_macro_flags``, ``_tech_dir_flag``, ``_seed_flag``)
+plus its own flags, and each ``cmd_*`` handler imports what it needs
+when it is dispatched: parsing and ``--help`` load no compiler.
 """
 
 from __future__ import annotations
@@ -30,72 +35,81 @@ import random
 import sys
 from typing import List, Optional
 
-from repro import RamConfig, compile_ram
-from repro.analysis import optimize_spares, spare_tradeoff_table
-from repro.bist import ALL_TESTS, IFA_9, parse_march
-from repro.bisr import EscalationPolicy, RepairSupervisor
 from repro.core.errors import ConfigError, ReproError, SignoffError
-from repro.cost import table2_rows, table3_rows
-from repro.memsim import DefectInjector, coverage_campaign
-from repro.reliability import reliability_words
-from repro.yieldmodel import bisr_yield
 
-_MARCHES = {t.name: t for t in ALL_TESTS}
+# ---------------------------------------------------------------------------
+# shared flag groups
+# ---------------------------------------------------------------------------
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser,
-                          spares_default: int = 4) -> None:
-    parser.add_argument("--words", type=int, required=True,
-                        help="addressable words")
-    parser.add_argument("--bpw", type=int, required=True,
-                        help="bits per word (power of two)")
-    parser.add_argument("--bpc", type=int, required=True,
-                        help="bits per column / mux factor (power of two)")
-    parser.add_argument("--spares", type=int, default=spares_default,
-                        choices=(4, 8, 16), help="spare rows")
-    parser.add_argument("--spare-cols", type=int, default=0,
-                        help="spare columns (0..16; 0 = row-only repair)")
-    parser.add_argument("--process", default="cda07",
-                        help="rule deck name: a packaged deck or any "
-                             "deck registered via --tech-dir, "
-                             "REPRO_TECH_DIR or entry points "
-                             "(see `repro tech list`)")
-    parser.add_argument("--ports", type=int, default=1,
-                        choices=(1, 2),
-                        help="access ports (2 = dual-port 8T array)")
-    parser.add_argument("--tech-dir", action="append", default=None,
-                        metavar="DIR",
-                        help="extra directory of technology descriptor "
-                             "files (repeatable; highest precedence)")
-    parser.add_argument("--gate-size", type=int, default=1,
-                        help="critical-gate drive multiplier")
-    parser.add_argument("--strap-every", type=int, default=32,
-                        help="bit-cell columns between straps (0=none)")
+# Each group takes a parser's ``add_argument``.
 
 
-def _config_from(args: argparse.Namespace) -> RamConfig:
+def _macro_flags(arg, required: bool = True) -> None:
+    """The macro's shape and deck: every ``RamConfig`` field the CLI
+    sets.  ``required=False`` gives ``campaign``'s smoke-run geometry."""
+    for flag, default, text in (
+            ("--words", 4096, "addressable words"),
+            ("--bpw", 4, "bits per word (power of two)"),
+            ("--bpc", 4, "bits per column / mux factor (power of two)")):
+        arg(flag, type=int, help=text,
+            **({"required": True} if required else {"default": default}))
+    arg("--spares", type=int, default=4, choices=(4, 8, 16),
+        help="spare rows")
+    arg("--spare-cols", type=int, default=0,
+        help="spare columns (0..16; 0 = row-only repair)")
+    arg("--process", default="cda07",
+        help="rule deck name: a packaged deck or any deck registered "
+             "via --tech-dir, REPRO_TECH_DIR or entry points (see "
+             "`repro tech list`)")
+    arg("--ports", type=int, default=1, choices=(1, 2),
+        help="access ports (2 = dual-port 8T array)")
+    _tech_dir_flag(arg)
+    arg("--gate-size", type=int, default=1,
+        help="critical-gate drive multiplier")
+    arg("--strap-every", type=int, default=32,
+        help="bit-cell columns between straps (0=none)")
+
+
+def _tech_dir_flag(arg) -> None:
+    arg("--tech-dir", action="append", default=None, metavar="DIR",
+        help="extra directory of technology descriptor files "
+             "(repeatable; highest precedence)")
+
+
+def _seed_flag(arg) -> None:
+    arg("--seed", type=int, default=0)
+
+
+def _config_from(args: argparse.Namespace):
+    from repro.core.config import RamConfig
+
     return RamConfig(
         words=args.words, bpw=args.bpw, bpc=args.bpc,
-        spares=args.spares, spare_cols=getattr(args, "spare_cols", 0),
-        process=args.process, ports=getattr(args, "ports", 1),
+        spares=args.spares, spare_cols=args.spare_cols,
+        process=args.process, ports=args.ports,
         gate_size=args.gate_size, strap_every=args.strap_every,
     )
 
 
-def _apply_tech_dirs(args: argparse.Namespace) -> None:
-    """Register ``--tech-dir`` directories before any deck lookup."""
-    for directory in getattr(args, "tech_dir", None) or ():
-        from repro.techreg import default_registry
+def _device_from(args: argparse.Namespace):
+    """(config, behavioural device) without compiling a layout: the
+    simulation reads only the configuration.  Resolving the deck keeps
+    an unknown ``--process`` a configuration error."""
+    from repro.memsim import BisrRam
+    from repro.tech import get_process
 
-        default_registry().add_search_dir(directory)
-
-
-def _int_list(text: str) -> List[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    config = _config_from(args)
+    get_process(config.process)
+    return config, BisrRam.from_config(config)
 
 
 def _float_list(text: str) -> List[float]:
     return [float(x) for x in text.split(",") if x.strip()]
+
+
+def _names(text: str) -> List[str]:
+    return [x.strip() for x in text.split(",") if x.strip()]
 
 
 def _confirm_spec(text: str) -> tuple:
@@ -120,6 +134,8 @@ def _confirm_spec(text: str) -> tuple:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from repro.core.compiler import compile_ram
+
     config = _config_from(args)
     use_cache = args.cache_dir is not None and not args.no_cache
     if use_cache and not (args.ascii or args.svg):
@@ -131,20 +147,14 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if use_cache:
         # Direct build (render flags) but keep the store warm so the
         # next cached invocation of this geometry hits.
+        from repro.bist.march import IFA_9
         from repro.service import ArtifactStore, bundle_key, render_bundle
 
         store = ArtifactStore(args.cache_dir)
         store.put(bundle_key(config, IFA_9, args.policy),
                   render_bundle(ram))
-    if ram.signoff is not None:
-        print(ram.signoff.summary())
-        print()
-    print(ram.datasheet.summary())
-    ar = ram.area_report
-    print(f"\narea: {ar.total_mm2:.3f} mm^2 "
-          f"(plain {ar.baseline_mm2:.3f}, overhead "
-          f"{ar.overhead_percent:.2f}%, BIST/BISR alone "
-          f"{ar.bist_bisr_only_percent:.2f}%)")
+    _print_build(ram.signoff, ram.datasheet.summary() + "\n",
+                 ram.area_report)
     if args.ascii:
         print()
         print(ram.render_ascii())
@@ -152,53 +162,69 @@ def cmd_compile(args: argparse.Namespace) -> int:
         with open(args.svg, "w") as handle:
             handle.write(ram.render_svg())
         print(f"wrote {args.svg}")
-    if args.cif:
-        ram.write_cif(args.cif)
-        print(f"wrote {args.cif}")
-    if args.control_dir:
-        paths = ram.write_control_code(args.control_dir)
-        print(f"wrote {paths['and']} and {paths['or']}")
+    _write_artifacts(args, ram.cif_text, ram.control_plane_texts)
     return 0
 
 
-def _compile_via_store(args: argparse.Namespace,
-                       config: RamConfig) -> int:
+def _compile_via_store(args: argparse.Namespace, config) -> int:
     """``compile --cache-dir``: serve/publish through the artifact
     store; cached and fresh runs write byte-identical artifacts."""
     import json
-    from pathlib import Path
+    from types import SimpleNamespace
 
+    from repro.bist.march import IFA_9
     from repro.service import ArtifactStore, compile_cached
     from repro.verify.report import SignoffReport
 
-    store = ArtifactStore(args.cache_dir)
-    bundle, hit, key = compile_cached(config, IFA_9,
-                                      signoff=args.policy, store=store)
+    bundle, hit, key = compile_cached(
+        config, IFA_9, signoff=args.policy,
+        store=ArtifactStore(args.cache_dir))
     print(f"cache {'HIT' if hit else 'MISS'} {key[:16]} "
           f"({args.cache_dir})")
+
+    def text(name: str) -> str:
+        return bundle[name].decode("utf-8")
+
+    report = None
     if args.policy and "signoff.json" in bundle:
-        report = SignoffReport.from_dict(
-            json.loads(bundle["signoff.json"].decode("utf-8")))
-        print(report.summary())
+        report = SignoffReport.from_dict(json.loads(text("signoff.json")))
+    _print_build(report, text("datasheet.txt"),
+                 SimpleNamespace(**json.loads(text("area.json"))))
+    _write_artifacts(args, lambda: text("macro.cif"),
+                     lambda: (text("trpla_and.plane"),
+                              text("trpla_or.plane")))
+    return 0
+
+
+def _print_build(signoff, datasheet: str, area) -> None:
+    """What both compile paths print: signoff, datasheet and area."""
+    if signoff is not None:
+        print(signoff.summary())
         print()
-    print(bundle["datasheet.txt"].decode("utf-8"), end="")
-    area = json.loads(bundle["area.json"].decode("utf-8"))
-    print(f"\narea: {area['total_mm2']:.3f} mm^2 "
-          f"(plain {area['baseline_mm2']:.3f}, overhead "
-          f"{area['overhead_percent']:.2f}%, BIST/BISR alone "
-          f"{area['bist_bisr_only_percent']:.2f}%)")
+    print(datasheet, end="")
+    print(f"\narea: {area.total_mm2:.3f} mm^2 "
+          f"(plain {area.baseline_mm2:.3f}, overhead "
+          f"{area.overhead_percent:.2f}%, BIST/BISR alone "
+          f"{area.bist_bisr_only_percent:.2f}%)")
+
+
+def _write_artifacts(args: argparse.Namespace, cif_text,
+                     plane_texts) -> None:
+    """Write ``--cif`` and ``--control-dir``; the texts render only
+    when asked for."""
+    from pathlib import Path
+
     if args.cif:
-        Path(args.cif).write_bytes(bundle["macro.cif"])
+        Path(args.cif).write_text(cif_text())
         print(f"wrote {args.cif}")
     if args.control_dir:
         directory = Path(args.control_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        paths = {}
-        for plane in ("and", "or"):
-            paths[plane] = directory / f"trpla_{plane}.plane"
-            paths[plane].write_bytes(bundle[f"trpla_{plane}.plane"])
-        print(f"wrote {paths['and']} and {paths['or']}")
-    return 0
+        paths = [directory / f"trpla_{plane}.plane" for plane in
+                 ("and", "or")]
+        for path, plane_text in zip(paths, plane_texts()):
+            path.write_text(plane_text)
+        print(f"wrote {paths[0]} and {paths[1]}")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -257,7 +283,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the chaos scenarios (``repro chaos --scenarios all``)."""
-    import json as json_module
+    import json
     import shutil
     import tempfile
 
@@ -269,41 +295,52 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
+    passed = all(r.passed for r in reports)
     if args.json:
-        print(json_module.dumps(
-            {"passed": all(r.passed for r in reports),
+        print(json.dumps(
+            {"passed": passed,
              "scenarios": [r.to_dict() for r in reports]},
             indent=1, sort_keys=True))
     else:
         for report in reports:
             print(report.summary())
         failed = [r.name for r in reports if not r.passed]
-        verdict = (f"FAILED: {', '.join(failed)}" if failed
-                   else f"all {len(reports)} scenario(s) passed")
-        print(verdict)
-    return 0 if all(r.passed for r in reports) else 1
+        print(f"FAILED: {', '.join(failed)}" if failed
+              else f"all {len(reports)} scenario(s) passed")
+    return 0 if passed else 1
+
+
+def _inject(args: argparse.Namespace, device, **injector) -> list:
+    """Seeded defect injection into ``device``'s array."""
+    from repro.memsim import DefectInjector
+
+    return DefectInjector(rng=random.Random(args.seed),
+                          **injector).inject(device.array, args.defects)
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    ram = compile_ram(config)
-    device = ram.simulation_model()
+    from repro.bist import IFA_9, TrplaController
+
+    config, device = _device_from(args)
     if args.defects:
-        injector = DefectInjector(rng=random.Random(args.seed))
-        faults = injector.inject(device.array, args.defects)
+        faults = _inject(args, device)
         print(f"injected {len(faults)} defects: "
               f"{[f.describe() for f in faults]}")
     if args.retries:
         return _supervised_selftest(args, config, device)
-    controller = ram.self_test_controller(device)
-    result = controller.run()
+
+    def run(fresh: bool):
+        return TrplaController(IFA_9, bpw=config.bpw, target=device,
+                               fresh=fresh).run()
+
+    result = run(fresh=True)
     print(f"pass 1+2: {result.op_count} ops, "
           f"{result.fail_count} comparator hits, "
           f"TLB map {device.tlb.mapped_rows()}")
     cycles = 1
     while result.repair_unsuccessful and cycles < args.max_cycles:
         cycles += 1
-        result = ram.self_test_controller(device, fresh=False).run()
+        result = run(fresh=False)
         print(f"cycle {cycles}: TLB map {device.tlb.mapped_rows()}")
     if result.repaired:
         print(f"REPAIRED after {cycles} two-pass cycle(s); functional "
@@ -313,9 +350,12 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 1
 
 
-def _supervised_selftest(args: argparse.Namespace, config: RamConfig,
+def _supervised_selftest(args: argparse.Namespace, config,
                          device) -> int:
     """The escalation-ladder path of ``selftest`` (--retries > 0)."""
+    from repro.bisr import EscalationPolicy, RepairSupervisor
+    from repro.bist import IFA_9
+
     threshold, reads = _confirm_spec(args.confirm)
     policy = EscalationPolicy(
         confirm_reads=reads,
@@ -342,35 +382,45 @@ def _supervised_selftest(args: argparse.Namespace, config: RamConfig,
     return 1
 
 
+def _versus_spares(label: str, width: int, points, spares: int,
+                   value) -> None:
+    """A table of ``value(x, s)`` per point with no spares and with
+    ``spares`` spares."""
+    print(f"{label:>{width}}  {'0 spares':>9}  {spares:>2} spares")
+    for x in points:
+        print(f"{x:>{width}.1f}  {value(x, 0):>9.4f}  "
+              f"{value(x, spares):>9.4f}")
+
+
 def cmd_yield(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    print(f"{'defects':>8}  {'0 spares':>9}  {config.spares:>2} spares")
-    for n in _float_list(args.defects):
-        y0 = bisr_yield(config.rows, 0, config.bpw, config.bpc, n)
-        ys = bisr_yield(config.rows, config.spares, config.bpw,
-                        config.bpc, n,
-                        growth_factor=1 + config.spares / config.rows)
-        print(f"{n:>8.1f}  {y0:>9.4f}  {ys:>9.4f}")
+    from repro.yieldmodel import bisr_yield
+
+    c = _config_from(args)
+    _versus_spares("defects", 8, _float_list(args.defects), c.spares,
+                   lambda n, s: bisr_yield(c.rows, s, c.bpw, c.bpc, n,
+                                           growth_factor=1 + s / c.rows))
     return 0
 
 
 def cmd_reliability(args: argparse.Namespace) -> int:
-    config = _config_from(args)
+    from repro.reliability import reliability_words
+
+    c = _config_from(args)
     lam = args.rate / 1000.0
     print(f"lambda = {args.rate:g} per kilohour per cell")
-    print(f"{'years':>6}  {'0 spares':>9}  {config.spares:>2} spares")
-    for years in _float_list(args.years):
-        t = years * 8766
-        r0 = reliability_words(t, config.rows, 0, config.bpw,
-                               config.bpc, lam)
-        rs = reliability_words(t, config.rows, config.spares,
-                               config.bpw, config.bpc, lam)
-        print(f"{years:>6.1f}  {r0:>9.4f}  {rs:>9.4f}")
+    _versus_spares("years", 6, _float_list(args.years), c.spares,
+                   lambda years, s: reliability_words(
+                       years * 8766, c.rows, s, c.bpw, c.bpc, lam))
     return 0
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
+    from repro.cost import table2_rows, table3_rows
+
     t2 = {r["name"]: r for r in table2_rows()}
+    if args.processor and args.processor not in t2:
+        raise ConfigError(f"unknown processor {args.processor!r}; "
+                          f"known: {', '.join(sorted(t2))}")
     names = [args.processor] if args.processor else sorted(t2)
     print(f"{'processor':<16}{'die w/o':>10}{'die w/':>10}"
           f"{'total w/o':>11}{'total w/':>10}{'saving':>8}")
@@ -395,10 +445,11 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
-    if args.march in _MARCHES:
-        march = _MARCHES[args.march]
-    else:
-        march = parse_march("custom", args.march)
+    from repro.bist import ALL_TESTS, parse_march
+    from repro.memsim import coverage_campaign
+
+    known = {t.name: t for t in ALL_TESTS}
+    march = known.get(args.march) or parse_march("custom", args.march)
     report = coverage_campaign(
         march,
         kinds=("stuck_at", "transition", "stuck_open",
@@ -416,7 +467,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Full signoff sweep: hierarchical DRC, LVS-lite connectivity, and
     control-logic validation, with one exit code per failure class
     (0 clean, 2 configuration, 3 DRC, 4 LVS, 5 control)."""
-    import json as json_module
+    import json
 
     from repro.tech import get_process
     from repro.verify import drc_report, run_signoff
@@ -434,6 +485,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = drc_report(cell, process, label=args.cif,
                             max_findings=args.max_findings)
     else:
+        from repro.core.compiler import compile_ram
+
         trpla = None
         if args.control_dir:
             # Verify the plane-file artifact, not the in-memory
@@ -443,17 +496,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             from repro.bist.trpla import Trpla, read_plane_files
 
             directory = Path(args.control_dir)
-            and_plane, or_plane = read_plane_files(
+            trpla = Trpla(*read_plane_files(
                 directory / "trpla_and.plane",
                 directory / "trpla_or.plane",
-            )
-            trpla = Trpla(and_plane, or_plane)
-        ram = compile_ram(config)
-        report = run_signoff(ram, trpla=trpla,
+            ))
+        report = run_signoff(compile_ram(config), trpla=trpla,
                              max_findings=args.max_findings)
 
     if args.json:
-        print(json_module.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.summary())
     return report.exit_code
@@ -464,11 +515,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     from repro.bist import IFA_9
     from repro.memsim import collect_fail_records, diagnose
 
-    config = _config_from(args)
-    ram = compile_ram(config)
-    device = ram.simulation_model()
-    injector = DefectInjector(rng=random.Random(args.seed))
-    faults = injector.inject(device.array, args.defects)
+    config, device = _device_from(args)
+    faults = _inject(args, device)
     print(f"injected: {[f.describe() for f in faults]}")
     records = collect_fail_records(IFA_9, device, bpw=config.bpw)
     result = diagnose(
@@ -497,17 +545,12 @@ def cmd_repair_plan(args: argparse.Namespace) -> int:
     """
     from repro.bisr import allocate
     from repro.bist import IFA_9, TwoDRepairController
-    from repro.memsim import (
-        FaultMix, collect_fail_records, fault_bitmap,
-    )
+    from repro.memsim import FaultMix, collect_fail_records, fault_bitmap
 
-    config = _config_from(args)
-    ram = compile_ram(config)
-    device = ram.simulation_model()
-    mix = FaultMix(column_defect=args.column_weight)
-    injector = DefectInjector(rng=random.Random(args.seed), mix=mix,
-                              clustering=args.clustering)
-    faults = injector.inject(device.array, args.defects)
+    config, device = _device_from(args)
+    faults = _inject(args, device,
+                     mix=FaultMix(column_defect=args.column_weight),
+                     clustering=args.clustering)
     print(f"injected: {[f.describe() for f in faults]}")
 
     records = collect_fail_records(IFA_9, device, bpw=config.bpw)
@@ -538,10 +581,7 @@ def cmd_spare_mix(args: argparse.Namespace) -> int:
     from repro.cost import best_mix, spare_mix_sweep
 
     mixes = []
-    for part in args.mixes.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _names(args.mixes):
         try:
             sr_text, sc_text = part.split("x")
             mixes.append((int(sr_text), int(sc_text)))
@@ -572,78 +612,51 @@ def cmd_spare_mix(args: argparse.Namespace) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Supervised parallel campaign with checkpoint/resume."""
-    from repro.runtime import CampaignRunner, RetryPolicy
-    from repro.runtime.drivers import (
-        montecarlo2d_campaign,
-        montecarlo_campaign,
-        repair_campaign,
-        signoff_campaign,
-        sizing_campaign,
-        techmatrix_campaign,
-    )
+    from repro.runtime import CampaignRunner, RetryPolicy, drivers
 
     if args.driver == "sizing":
         widths = _float_list(args.widths)
         if not widths:
             raise ConfigError("--widths must name at least one width")
-        spec = sizing_campaign(process=args.process, widths=widths,
-                               seed=args.seed)
-    elif args.driver == "techmatrix":
+        spec = drivers.sizing_campaign(process=args.process,
+                                       widths=widths, seed=args.seed)
+    elif args.driver in ("signoff", "techmatrix"):
         config = _config_from(args)
-        spec = techmatrix_campaign(
-            words=config.words, bpw=config.bpw, bpc=config.bpc,
-            spares=config.spares,
-            processes=[p.strip() for p in args.processes.split(",")
-                       if p.strip()],
-            ports=_int_list(args.port_counts),
-            seed=args.seed, gate_size=config.gate_size,
-            strap_every=config.strap_every,
-            cache_dir=args.cache_dir,
-            tech_dirs=args.tech_dir or (),
-        )
-    elif args.driver == "signoff":
-        config = _config_from(args)
-        spec = signoff_campaign(
-            words=config.words, bpw=config.bpw, bpc=config.bpc,
-            spares=config.spares,
-            processes=[p.strip() for p in args.processes.split(",")
-                       if p.strip()],
-            seed=args.seed, gate_size=config.gate_size,
-            strap_every=config.strap_every,
-            cache_dir=args.cache_dir,
-        )
+        nodes = dict(words=config.words, bpw=config.bpw, bpc=config.bpc,
+                     spares=config.spares, seed=args.seed,
+                     processes=_names(args.processes),
+                     gate_size=config.gate_size,
+                     strap_every=config.strap_every,
+                     cache_dir=args.cache_dir)
+        if args.driver == "signoff":
+            spec = drivers.signoff_campaign(**nodes)
+        else:
+            spec = drivers.techmatrix_campaign(
+                ports=[int(p) for p in _names(args.port_counts)],
+                tech_dirs=args.tech_dir or (), **nodes)
     else:
         config = _config_from(args)
+        trials = dict(rows=config.rows, bpw=config.bpw, bpc=config.bpc,
+                      defects=args.defects, trials=args.trials,
+                      n_shards=args.shards, seed=args.seed)
         if args.driver == "montecarlo2d":
             from repro.cost import area_growth_factor
 
-            spec = montecarlo2d_campaign(
-                rows=config.rows, bpw=config.bpw, bpc=config.bpc,
+            spec = drivers.montecarlo2d_campaign(
                 spares_r=config.spares, spares_c=config.spare_cols,
-                defects=args.defects, trials=args.trials,
-                n_shards=args.shards, seed=args.seed,
                 growth_factor=area_growth_factor(
                     config.rows, config.columns,
                     config.spares, config.spare_cols),
                 row_defect_frac=args.row_defect_frac,
                 col_defect_frac=args.col_defect_frac,
-                node_budget=args.node_budget,
-            )
+                node_budget=args.node_budget, **trials)
         elif args.driver == "montecarlo":
-            spec = montecarlo_campaign(
-                rows=config.rows, spares=config.spares,
-                bpw=config.bpw, bpc=config.bpc,
-                defects=args.defects, trials=args.trials,
-                n_shards=args.shards, seed=args.seed,
-                growth_factor=1 + config.spares / config.rows,
-            )
+            spec = drivers.montecarlo_campaign(
+                spares=config.spares,
+                growth_factor=1 + config.spares / config.rows, **trials)
         else:
-            spec = repair_campaign(
-                rows=config.rows, bpw=config.bpw, bpc=config.bpc,
-                spares=config.spares, defects=args.defects,
-                trials=args.trials, n_shards=args.shards,
-                seed=args.seed,
-            )
+            spec = drivers.repair_campaign(spares=config.spares,
+                                           **trials)
     runner = CampaignRunner(
         workers=args.workers,
         timeout_s=args.timeout,
@@ -658,9 +671,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from repro.analysis import optimize_spares, spare_tradeoff_table
+
     config = _config_from(args)
-    table = spare_tradeoff_table(config, args.defects)
-    for choice in table:
+    for choice in spare_tradeoff_table(config, args.defects):
         print(choice.summary())
     best = optimize_spares(config, args.defects)
     if best is None:
@@ -734,284 +748,230 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", help="compile a BISR-RAM macro")
-    _add_config_arguments(p)
-    p.add_argument("--policy", choices=("strict", "degrade"), default=None,
-                   help="signoff stage gate: strict fails the build on "
-                        "any finding, degrade attaches the report and "
-                        "continues (default: skip signoff)")
-    p.add_argument("--ascii", action="store_true",
-                   help="print the layout sketch")
-    p.add_argument("--svg", help="write an SVG layout plot")
-    p.add_argument("--cif", help="write the CIF layout")
-    p.add_argument("--control-dir",
-                   help="write the TRPLA plane files here")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="content-addressed artifact store: serve this "
-                        "configuration from cache when present, "
-                        "publish it on a miss")
-    p.add_argument("--no-cache", action="store_true",
-                   help="build from scratch even with --cache-dir")
-    p.set_defaults(func=cmd_compile)
+    def command(name: str, handler, text: str, *groups):
+        """Declare one subcommand; returns its ``add_argument``."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=handler)
+        for group in groups:
+            group(p.add_argument)
+        return p.add_argument
 
-    p = sub.add_parser(
-        "serve",
-        help="run the concurrent macro server (HTTP compile-as-a-"
-             "service with single-flight dedup and backpressure)",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8080,
-                   help="TCP port (0 picks a free one)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="build threads (or worker processes with "
-                        "--backend process)")
-    p.add_argument("--queue-limit", type=int, default=64,
-                   help="max queued-or-running requests before 503 "
-                        "backpressure")
-    p.add_argument("--backend", choices=("thread", "process"),
-                   default="thread",
-                   help="'process' builds on supervised worker "
-                        "processes (deadlines, crash quarantine, "
-                        "claim-based cross-process single-flight); "
-                        "requires --cache-dir")
-    p.add_argument("--deadline-s", type=float, default=300.0,
-                   help="per-build wall-clock budget before a hung "
-                        "worker is killed (process backend)")
-    p.add_argument("--wal", default=None, metavar="FILE",
-                   help="journal every admitted request to this "
-                        "write-ahead log and replay unfinished ones "
-                        "on restart")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="back the server with this artifact store")
-    p.add_argument("--cache-budget-mb", type=float, default=None,
-                   help="LRU-evict the store beyond this many MB")
-    p.add_argument("--max-requests", type=int, default=None,
-                   help="exit after serving this many compile "
-                        "requests (CI smoke runs)")
-    p.add_argument("--batch-limit", type=int, default=64,
-                   help="max items in one POST /compile_batch "
-                        "(larger batches get 413)")
-    p.add_argument("--verbose", action="store_true",
-                   help="log each HTTP request")
-    p.set_defaults(func=cmd_serve)
+    arg = command("compile", cmd_compile, "compile a BISR-RAM macro",
+                  _macro_flags)
+    arg("--policy", choices=("strict", "degrade"), default=None,
+        help="signoff stage gate: strict fails the build on any "
+             "finding, degrade attaches the report and continues "
+             "(default: skip signoff)")
+    arg("--ascii", action="store_true", help="print the layout sketch")
+    arg("--svg", help="write an SVG layout plot")
+    arg("--cif", help="write the CIF layout")
+    arg("--control-dir", help="write the TRPLA plane files here")
+    arg("--cache-dir", default=None, metavar="DIR",
+        help="content-addressed artifact store: serve this "
+             "configuration from cache when present, publish it on a "
+             "miss")
+    arg("--no-cache", action="store_true",
+        help="build from scratch even with --cache-dir")
 
-    p = sub.add_parser(
-        "chaos",
-        help="run the deterministic chaos scenarios against the "
-             "service tier (worker kills, hangs, torn publishes, "
-             "eviction races, ENOSPC, WAL replay, and batch worker "
-             "kills)",
-    )
-    p.add_argument("--scenarios", nargs="+", default=["all"],
-                   metavar="NAME",
-                   help="scenario names, or 'all' (the default)")
-    p.add_argument("--workdir", default=None, metavar="DIR",
-                   help="scratch directory (default: a fresh "
-                        "temporary directory, removed afterwards)")
-    p.add_argument("--json", action="store_true",
-                   help="emit one JSON report instead of text")
-    p.set_defaults(func=cmd_chaos)
+    arg = command("serve", cmd_serve,
+                  "run the concurrent macro server (HTTP compile-as-a-"
+                  "service with single-flight dedup and backpressure)")
+    arg("--host", default="127.0.0.1")
+    arg("--port", type=int, default=8080,
+        help="TCP port (0 picks a free one)")
+    arg("--workers", type=int, default=4,
+        help="build threads (or worker processes with --backend "
+             "process)")
+    arg("--queue-limit", type=int, default=64,
+        help="max queued-or-running requests before 503 backpressure")
+    arg("--backend", choices=("thread", "process"), default="thread",
+        help="'process' builds on supervised worker processes "
+             "(deadlines, crash quarantine, claim-based cross-process "
+             "single-flight); requires --cache-dir")
+    arg("--deadline-s", type=float, default=300.0,
+        help="per-build wall-clock budget before a hung worker is "
+             "killed (process backend)")
+    arg("--wal", default=None, metavar="FILE",
+        help="journal every admitted request to this write-ahead log "
+             "and replay unfinished ones on restart")
+    arg("--cache-dir", default=None, metavar="DIR",
+        help="back the server with this artifact store")
+    arg("--cache-budget-mb", type=float, default=None,
+        help="LRU-evict the store beyond this many MB")
+    arg("--max-requests", type=int, default=None,
+        help="exit after serving this many compile requests (CI smoke "
+             "runs)")
+    arg("--batch-limit", type=int, default=64,
+        help="max items in one POST /compile_batch (larger batches get "
+             "413)")
+    arg("--verbose", action="store_true", help="log each HTTP request")
 
-    p = sub.add_parser("selftest",
-                       help="inject defects and run BIST/BISR")
-    _add_config_arguments(p)
-    p.add_argument("--defects", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-cycles", type=int, default=4,
-                   help="2-pass repair cycles before giving up")
-    p.add_argument("--retries", type=int, default=0,
-                   help="run under the RepairSupervisor with this many "
-                        "bounded escalation attempts (0 = legacy flow)")
-    p.add_argument("--confirm", default="2/5", metavar="N/M",
-                   help="N-of-M re-read confirmation before a row "
-                        "consumes a spare (with --retries; default 2/5)")
-    p.set_defaults(func=cmd_selftest)
+    arg = command("chaos", cmd_chaos,
+                  "run the deterministic chaos scenarios against the "
+                  "service tier (worker kills, hangs, torn publishes, "
+                  "eviction races, ENOSPC, WAL replay, and batch worker "
+                  "kills)")
+    arg("--scenarios", nargs="+", default=["all"], metavar="NAME",
+        help="scenario names, or 'all' (the default)")
+    arg("--workdir", default=None, metavar="DIR",
+        help="scratch directory (default: a fresh temporary directory, "
+             "removed afterwards)")
+    arg("--json", action="store_true",
+        help="emit one JSON report instead of text")
 
-    p = sub.add_parser("yield", help="repairable yield vs defects")
-    _add_config_arguments(p)
-    p.add_argument("--defects", default="0,1,2,5,10,20",
-                   help="comma-separated defect counts")
-    p.set_defaults(func=cmd_yield)
+    arg = command("selftest", cmd_selftest,
+                  "inject defects and run BIST/BISR", _macro_flags)
+    arg("--defects", type=int, default=0)
+    _seed_flag(arg)
+    arg("--max-cycles", type=int, default=4,
+        help="2-pass repair cycles before giving up")
+    arg("--retries", type=int, default=0,
+        help="run under the RepairSupervisor with this many bounded "
+             "escalation attempts (0 = legacy flow)")
+    arg("--confirm", default="2/5", metavar="N/M",
+        help="N-of-M re-read confirmation before a row consumes a "
+             "spare (with --retries; default 2/5)")
 
-    p = sub.add_parser("reliability", help="reliability vs age")
-    _add_config_arguments(p)
-    p.add_argument("--years", default="1,2,5,10")
-    p.add_argument("--rate", type=float, default=1e-6,
-                   help="cell failure rate per kilohour")
-    p.set_defaults(func=cmd_reliability)
+    arg = command("yield", cmd_yield, "repairable yield vs defects",
+                  _macro_flags)
+    arg("--defects", default="0,1,2,5,10,20",
+        help="comma-separated defect counts")
 
-    p = sub.add_parser("cost",
-                       help="Tables II/III manufacturing-cost study")
-    p.add_argument("--processor", help="restrict to one processor")
-    p.set_defaults(func=cmd_cost)
+    arg = command("reliability", cmd_reliability, "reliability vs age",
+                  _macro_flags)
+    arg("--years", default="1,2,5,10")
+    arg("--rate", type=float, default=1e-6,
+        help="cell failure rate per kilohour")
 
-    p = sub.add_parser("coverage", help="march-test fault coverage")
-    p.add_argument("--march", default="IFA-9",
-                   help="a known name (IFA-9, IFA-13, MATS+, March C-) "
-                        "or march notation like 'm(w0); u(r0,w1)'")
-    p.add_argument("--samples", type=int, default=20)
-    p.set_defaults(func=cmd_coverage)
+    arg = command("cost", cmd_cost,
+                  "Tables II/III manufacturing-cost study")
+    arg("--processor", help="restrict to one processor")
 
-    p = sub.add_parser("verify",
-                       help="signoff sweep: hierarchical DRC, LVS-lite "
-                            "connectivity, control validation; exit "
-                            "codes 0=clean 2=config 3=DRC 4=LVS "
-                            "5=control")
-    _add_config_arguments(p)
-    p.add_argument("--cif", metavar="FILE",
-                   help="verify this CIF file's geometry instead of "
-                        "recompiling (DRC stages only: CIF has no "
-                        "port annotations)")
-    p.add_argument("--control-dir", metavar="DIR",
-                   help="read the TRPLA plane files from here and "
-                        "verify the on-disk personality")
-    p.add_argument("--json", action="store_true",
-                   help="print the structured report as JSON")
-    p.add_argument("--max-findings", type=int, default=200,
-                   help="per-checker finding budget")
-    p.set_defaults(func=cmd_verify)
+    arg = command("coverage", cmd_coverage, "march-test fault coverage")
+    arg("--march", default="IFA-9",
+        help="a known name (IFA-9, IFA-13, MATS+, March C-) or march "
+             "notation like 'm(w0); u(r0,w1)'")
+    arg("--samples", type=int, default=20)
 
-    p = sub.add_parser("diagnose",
-                       help="classify injected damage from the BIST "
-                            "failure log")
-    _add_config_arguments(p)
-    p.add_argument("--defects", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_diagnose)
+    arg = command("verify", cmd_verify,
+                  "signoff sweep: hierarchical DRC, LVS-lite "
+                  "connectivity, control validation; exit codes "
+                  "0=clean 2=config 3=DRC 4=LVS 5=control",
+                  _macro_flags)
+    arg("--cif", metavar="FILE",
+        help="verify this CIF file's geometry instead of recompiling "
+             "(DRC stages only: CIF has no port annotations)")
+    arg("--control-dir", metavar="DIR",
+        help="read the TRPLA plane files from here and verify the "
+             "on-disk personality")
+    arg("--json", action="store_true",
+        help="print the structured report as JSON")
+    arg("--max-findings", type=int, default=200,
+        help="per-checker finding budget")
 
-    p = sub.add_parser("repair-plan",
-                       help="inject defects, diagnose, run the 2-D "
-                            "must-repair + branch-and-bound allocator, "
-                            "then replay the repair dynamically")
-    _add_config_arguments(p)
-    p.add_argument("--defects", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--column-weight", type=float, default=0.005,
-                   help="column-defect weight in the fault mix")
-    p.add_argument("--clustering", type=float, default=0.0,
-                   help="defect clustering strength (0 = uniform)")
-    p.add_argument("--node-budget", type=int, default=20_000,
-                   help="branch-and-bound nodes before the allocator "
-                        "falls back to the greedy cover")
-    p.set_defaults(func=cmd_repair_plan)
+    arg = command("diagnose", cmd_diagnose,
+                  "classify injected damage from the BIST failure log",
+                  _macro_flags)
+    arg("--defects", type=int, default=3)
+    _seed_flag(arg)
 
-    p = sub.add_parser("spare-mix",
-                       help="sweep row/column spare mixes for cost "
-                            "per good bit")
-    p.add_argument("--rows", type=int, default=128)
-    p.add_argument("--bpw", type=int, default=8)
-    p.add_argument("--bpc", type=int, default=4)
-    p.add_argument("--mixes", default="4x0,2x2,0x4",
-                   help="comma-separated SRxSC pairs")
-    p.add_argument("--defects", default="1,2,5",
-                   help="comma-separated mean defect counts")
-    p.add_argument("--trials", type=int, default=2_000)
-    p.add_argument("--row-defect-frac", type=float, default=0.02,
-                   help="fraction of defects that kill a whole row")
-    p.add_argument("--col-defect-frac", type=float, default=0.05,
-                   help="fraction of defects that kill a whole column")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_spare_mix)
+    arg = command("repair-plan", cmd_repair_plan,
+                  "inject defects, diagnose, run the 2-D must-repair + "
+                  "branch-and-bound allocator, then replay the repair "
+                  "dynamically", _macro_flags)
+    arg("--defects", type=int, default=3)
+    _seed_flag(arg)
+    arg("--column-weight", type=float, default=0.005,
+        help="column-defect weight in the fault mix")
+    arg("--clustering", type=float, default=0.0,
+        help="defect clustering strength (0 = uniform)")
+    arg("--node-budget", type=int, default=20_000,
+        help="branch-and-bound nodes before the allocator falls back "
+             "to the greedy cover")
 
-    p = sub.add_parser(
-        "campaign",
-        help="supervised parallel campaign: sharded, checkpointed, "
-             "resumable",
-    )
-    p.add_argument("--driver",
-                   choices=("montecarlo", "montecarlo2d", "repair",
-                            "sizing", "signoff", "techmatrix"),
-                   default="montecarlo",
-                   help="workload: Monte-Carlo yield (row-only or 2-D "
-                        "with the allocator in the loop), "
-                        "fault-injection repair, SPICE sizing sweep, "
-                        "cross-node signoff, or the deck x port-count "
-                        "tech matrix")
-    # Geometry defaults so a smoke campaign needs no required flags.
-    p.add_argument("--words", type=int, default=4096)
-    p.add_argument("--bpw", type=int, default=4)
-    p.add_argument("--bpc", type=int, default=4)
-    p.add_argument("--spares", type=int, default=4, choices=(4, 8, 16))
-    p.add_argument("--spare-cols", type=int, default=0,
-                   help="spare columns for the montecarlo2d driver")
-    p.add_argument("--row-defect-frac", type=float, default=0.0,
-                   help="whole-row defect fraction (montecarlo2d)")
-    p.add_argument("--col-defect-frac", type=float, default=0.0,
-                   help="whole-column defect fraction (montecarlo2d)")
-    p.add_argument("--node-budget", type=int, default=4_000,
-                   help="allocator search budget (montecarlo2d)")
-    p.add_argument("--process", default="cda07",
-                   help="rule deck name (any registered deck)")
-    p.add_argument("--ports", type=int, default=1, choices=(1, 2),
-                   help="access ports for single-config drivers")
-    p.add_argument("--port-counts", default="1,2",
-                   help="port counts swept by the techmatrix driver")
-    p.add_argument("--tech-dir", action="append", default=None,
-                   metavar="DIR",
-                   help="extra technology descriptor directory "
-                        "(repeatable)")
-    p.add_argument("--gate-size", type=int, default=1)
-    p.add_argument("--strap-every", type=int, default=32)
-    p.add_argument("--defects", type=float, default=5.0,
-                   help="defects for the montecarlo/repair drivers")
-    p.add_argument("--trials", type=int, default=100_000,
-                   help="total trials, split evenly over shards")
-    p.add_argument("--shards", type=int, default=8,
-                   help="independently seeded task units")
-    p.add_argument("--widths", default="0.6,0.9,1.2,1.8",
-                   help="NMOS widths (um) for the sizing driver")
-    p.add_argument("--processes", default="cda05,mos06,cda07,mos08",
-                   help="tech nodes for the signoff driver")
-    p.add_argument("--workers", type=int, default=1,
-                   help="process-pool size")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-shard wall-clock budget in seconds")
-    p.add_argument("--retries", type=int, default=3,
-                   help="dispatch attempts per shard before it is "
-                        "finalised as failed")
-    p.add_argument("--backoff", type=float, default=0.05,
-                   help="base retry backoff in seconds (doubles per "
-                        "attempt)")
-    p.add_argument("--checkpoint",
-                   help="JSONL journal path; finished shards are "
-                        "appended as they complete")
-    p.add_argument("--resume", action="store_true",
-                   help="adopt finished shards from --checkpoint "
-                        "instead of starting over")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="artifact store for the signoff driver: "
-                        "shards fetch compiled macros through it")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_campaign)
+    arg = command("spare-mix", cmd_spare_mix,
+                  "sweep row/column spare mixes for cost per good bit")
+    arg("--rows", type=int, default=128)
+    arg("--bpw", type=int, default=8)
+    arg("--bpc", type=int, default=4)
+    arg("--mixes", default="4x0,2x2,0x4",
+        help="comma-separated SRxSC pairs")
+    arg("--defects", default="1,2,5",
+        help="comma-separated mean defect counts")
+    arg("--trials", type=int, default=2_000)
+    arg("--row-defect-frac", type=float, default=0.02,
+        help="fraction of defects that kill a whole row")
+    arg("--col-defect-frac", type=float, default=0.05,
+        help="fraction of defects that kill a whole column")
+    _seed_flag(arg)
 
-    p = sub.add_parser(
-        "tech",
-        help="technology-registry tooling: list, show, validate decks",
-    )
-    p.add_argument("--tech-dir", action="append", default=None,
-                   metavar="DIR",
-                   help="extra descriptor directory (repeatable)")
-    tech_sub = p.add_subparsers(dest="tech_cmd", required=True)
-    tp = tech_sub.add_parser("list",
-                             help="all registered decks with origin "
-                                  "and fingerprint")
-    tp.set_defaults(func=cmd_tech)
-    tp = tech_sub.add_parser("show",
-                             help="one deck's parameters and full "
-                                  "rule table")
-    tp.add_argument("name", help="registered deck name")
-    tp.set_defaults(func=cmd_tech)
-    tp = tech_sub.add_parser("validate",
-                             help="check a descriptor file; prints "
-                                  "per-field problems")
-    tp.add_argument("path", help="descriptor file (.toml/.json)")
-    tp.set_defaults(func=cmd_tech)
+    arg = command("campaign", cmd_campaign,
+                  "supervised parallel campaign: sharded, checkpointed, "
+                  "resumable")
+    arg("--driver", choices=("montecarlo", "montecarlo2d", "repair",
+                             "sizing", "signoff", "techmatrix"),
+        default="montecarlo",
+        help="workload: Monte-Carlo yield (row-only or 2-D with the "
+             "allocator in the loop), fault-injection repair, SPICE "
+             "sizing sweep, cross-node signoff, or the deck x "
+             "port-count tech matrix")
+    _macro_flags(arg, required=False)
+    arg("--row-defect-frac", type=float, default=0.0,
+        help="whole-row defect fraction (montecarlo2d)")
+    arg("--col-defect-frac", type=float, default=0.0,
+        help="whole-column defect fraction (montecarlo2d)")
+    arg("--node-budget", type=int, default=4_000,
+        help="allocator search budget (montecarlo2d)")
+    arg("--port-counts", default="1,2",
+        help="port counts swept by the techmatrix driver")
+    arg("--defects", type=float, default=5.0,
+        help="defects for the montecarlo/repair drivers")
+    arg("--trials", type=int, default=100_000,
+        help="total trials, split evenly over shards")
+    arg("--shards", type=int, default=8,
+        help="independently seeded task units")
+    arg("--widths", default="0.6,0.9,1.2,1.8",
+        help="NMOS widths (um) for the sizing driver")
+    arg("--processes", default="cda05,mos06,cda07,mos08",
+        help="tech nodes for the signoff driver")
+    arg("--workers", type=int, default=1, help="process-pool size")
+    arg("--timeout", type=float, default=None,
+        help="per-shard wall-clock budget in seconds")
+    arg("--retries", type=int, default=3,
+        help="dispatch attempts per shard before it is finalised as "
+             "failed")
+    arg("--backoff", type=float, default=0.05,
+        help="base retry backoff in seconds (doubles per attempt)")
+    arg("--checkpoint",
+        help="JSONL journal path; finished shards are appended as they "
+             "complete")
+    arg("--resume", action="store_true",
+        help="adopt finished shards from --checkpoint instead of "
+             "starting over")
+    arg("--cache-dir", default=None, metavar="DIR",
+        help="artifact store for the signoff driver: shards fetch "
+             "compiled macros through it")
+    _seed_flag(arg)
 
-    p = sub.add_parser("optimize", help="choose the spare-row count")
-    _add_config_arguments(p)
-    p.add_argument("--defects", type=float, default=3.0,
-                   help="expected defects in the array")
-    p.set_defaults(func=cmd_optimize)
+    command("tech", cmd_tech,
+            "technology-registry tooling: list, show, validate decks",
+            _tech_dir_flag)
+    tech_sub = sub.choices["tech"].add_subparsers(dest="tech_cmd",
+                                                  required=True)
+    tech_sub.add_parser(
+        "list", help="all registered decks with origin and fingerprint")
+    tech_sub.add_parser(
+        "show", help="one deck's parameters and full rule table",
+    ).add_argument("name", help="registered deck name")
+    tech_sub.add_parser(
+        "validate", help="check a descriptor file; prints per-field "
+                         "problems",
+    ).add_argument("path", help="descriptor file (.toml/.json)")
+
+    arg = command("optimize", cmd_optimize, "choose the spare-row count",
+                  _macro_flags)
+    arg("--defects", type=float, default=3.0,
+        help="expected defects in the array")
 
     return parser
 
@@ -1019,7 +979,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_tech_dirs(args)
+        for directory in getattr(args, "tech_dir", None) or ():
+            # Register --tech-dir directories before any deck lookup.
+            from repro.techreg import default_registry
+
+            default_registry().add_search_dir(directory)
         return args.func(args)
     except SignoffError as error:
         # A strict stage gate tripped: exit with the failing class's
@@ -1028,17 +992,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         print(f"error: {error}", file=sys.stderr)
         return EXIT_CODES.get(error.failure_class, 1)
-    except ReproError as error:
+    except (ReproError, ValueError, KeyError, OSError) as error:
         # Anticipated failures (bad configuration, exhausted spares,
-        # non-converging transients) exit with one line, no traceback.
+        # non-converging transients, unreadable or unwritable paths)
+        # exit with one line, no traceback.
         print(f"error: {error}", file=sys.stderr)
         for problem in getattr(error, "field_errors", ()) or ():
             # Descriptor rejections carry per-field diagnostics.
             print(f"  {problem.field}: {problem.message}",
                   file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as error:
-        print(f"error: {error}", file=sys.stderr)
         return 2
 
 

@@ -16,32 +16,33 @@
   fingerprints.
 """
 
-from repro.core.canonical import canonical_json, stable_digest
-from repro.core.config import RamConfig
-from repro.core.datasheet import Datasheet
-from repro.core.compiler import BISRAMGen, CompiledRam, compile_ram
-from repro.core.errors import (
-    ConfigError,
-    RepairExhausted,
-    ReproError,
-    ServiceUnavailable,
-    SpiceConvergenceError,
-)
-from repro.core.stages import StageCache, StageTiming
+import importlib
 
-__all__ = [
-    "RamConfig",
-    "Datasheet",
-    "BISRAMGen",
-    "CompiledRam",
-    "compile_ram",
-    "StageCache",
-    "StageTiming",
-    "canonical_json",
-    "stable_digest",
-    "ReproError",
-    "ConfigError",
-    "RepairExhausted",
-    "ServiceUnavailable",
-    "SpiceConvergenceError",
-]
+#: Each export and the submodule it lives in, imported on first use
+#: (PEP 562) so that reading a config or an error type does not load
+#: the compiler and its numeric dependencies.
+_HOME = {
+    "RamConfig": "config",
+    "Datasheet": "datasheet",
+    "BISRAMGen": "compiler",
+    "CompiledRam": "compiler",
+    "compile_ram": "compiler",
+    "StageCache": "stages",
+    "StageTiming": "stages",
+    "canonical_json": "canonical",
+    "stable_digest": "canonical",
+    "ReproError": "errors",
+    "ConfigError": "errors",
+    "RepairExhausted": "errors",
+    "ServiceUnavailable": "errors",
+    "SpiceConvergenceError": "errors",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        module = importlib.import_module(f"repro.core.{_HOME[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module 'repro.core' has no attribute {name!r}")

@@ -109,14 +109,7 @@ class CompiledRam:
 
     def simulation_model(self) -> BisrRam:
         """A fresh behavioural device for this configuration."""
-        return BisrRam(
-            rows=self.config.rows,
-            bpw=self.config.bpw,
-            bpc=self.config.bpc,
-            spares=self.config.spares,
-            spare_cols=self.config.spare_cols,
-            ports=self.config.ports,
-        )
+        return BisrRam.from_config(self.config)
 
     def self_test_controller(self, device: Optional[BisrRam] = None,
                              march: MarchTest = IFA_9,

@@ -53,6 +53,17 @@ class BisrRam:
         self.port_ops = [0] * ports
         self._remapped_rows = set()
 
+    @classmethod
+    def from_config(cls, config) -> "BisrRam":
+        """The device a :class:`~repro.core.config.RamConfig` describes.
+
+        Simulation needs no layout, so this is all a compiled macro's
+        :meth:`~repro.core.compiler.CompiledRam.simulation_model` does.
+        """
+        return cls(rows=config.rows, bpw=config.bpw, bpc=config.bpc,
+                   spares=config.spares, spare_cols=config.spare_cols,
+                   ports=config.ports)
+
     # -- TestTarget protocol -------------------------------------------------
 
     @property

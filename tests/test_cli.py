@@ -322,3 +322,67 @@ class TestCampaign:
         assert code == 0
         assert "1/1 shard(s) completed" in out
         assert '"clean_nodes": 1' in out
+
+
+class TestErrorExits:
+    """Anticipated failures exit 2 with one ``error: ...`` line."""
+
+    def _error(self, capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1  # one line, no traceback
+        return err
+
+    def test_verify_missing_cif(self, capsys, tmp_path):
+        err = self._error(capsys, "verify", *CFG,
+                          "--cif", str(tmp_path / "missing.cif"))
+        assert "missing.cif" in err
+
+    def test_verify_missing_control_dir(self, capsys, tmp_path):
+        err = self._error(capsys, "verify", *CFG,
+                          "--control-dir", str(tmp_path / "missing"))
+        assert "trpla_and.plane" in err
+
+    def test_campaign_unwritable_checkpoint(self, capsys, tmp_path):
+        self._error(capsys, "campaign", "--trials", "100",
+                    "--shards", "2", "--checkpoint",
+                    str(tmp_path / "missing" / "x.jsonl"))
+
+    def test_cost_unknown_processor(self, capsys):
+        err = self._error(capsys, "cost", "--processor", "bogus")
+        assert "'bogus'" in err and "TI SuperSPARC" in err
+
+    @pytest.mark.parametrize("command",
+                             ["selftest", "diagnose", "repair-plan"])
+    def test_unknown_deck(self, capsys, command):
+        err = self._error(capsys, command, *CFG, "--process", "bogus")
+        assert "unknown process 'bogus'" in err
+
+
+class TestSimulationCommandsCompileNothing:
+    """selftest, diagnose and repair-plan simulate the configuration
+    alone: no layout is generated on their path."""
+
+    @pytest.fixture(autouse=True)
+    def no_compile(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a simulation command compiled a layout")
+
+        monkeypatch.setattr("repro.core.compiler.compile_ram", refuse)
+        monkeypatch.setattr("repro.core.compiler.BISRAMGen.build", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["selftest", *CFG, "--defects", "2", "--seed", "4"],
+        ["selftest", *CFG, "--defects", "2", "--seed", "4",
+         "--retries", "3"],
+        ["diagnose", *CFG, "--defects", "2", "--seed", "3"],
+        ["repair-plan", *CFG, "--spare-cols", "2", "--defects", "4",
+         "--seed", "1", "--column-weight", "0.2"],
+    ])
+    def test_runs_without_compiling(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code in (0, 1)
+        assert "injected" in out
+

@@ -10,10 +10,14 @@ The help goldens pin what users read.
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser
 
 GOLDEN = Path(__file__).parent / "cli_surface"
@@ -101,3 +105,31 @@ def test_every_subcommand_is_pinned(cli_surface):
     }
     assert {"bisramgen tech list", "bisramgen tech show",
             "bisramgen tech validate"} <= set(signatures)
+
+
+def test_help_and_import_load_no_compiler():
+    """``python -m repro --help``, every command's ``--help`` and
+    ``import repro.cli`` load no numpy, scipy or compiler; the package
+    exports still resolve."""
+    argvs = [name.split()[1:] + ["--help"]
+             for name, _ in _parsers(build_parser(), "bisramgen")]
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        "import repro.cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    sys.argv = ['repro', *argv]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            runpy.run_module('repro', run_name='__main__')\n"
+        "        except SystemExit as exit:\n"
+        "            assert exit.code == 0, argv\n"
+        "heavy = {'numpy', 'scipy', 'repro.core.compiler'} & set(sys.modules)\n"
+        "assert not heavy, heavy\n"
+        "import repro\n"
+        "from repro import RamConfig, compile_ram\n"
+        "assert compile_ram is repro.core.compiler.compile_ram\n"
+        "assert all(getattr(repro, n) is not None for n in repro.__all__)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
