@@ -33,9 +33,12 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.errors import ConfigError, ReproError, SignoffError
+
+if TYPE_CHECKING:
+    from repro.core.config import RamConfig
 
 # ---------------------------------------------------------------------------
 # shared flag groups
@@ -81,7 +84,7 @@ def _seed_flag(arg) -> None:
     arg("--seed", type=int, default=0)
 
 
-def _config_from(args: argparse.Namespace):
+def _config_from(args: argparse.Namespace) -> RamConfig:
     from repro.core.config import RamConfig
 
     return RamConfig(
@@ -166,7 +169,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compile_via_store(args: argparse.Namespace, config) -> int:
+def _compile_via_store(args: argparse.Namespace,
+                       config: RamConfig) -> int:
     """``compile --cache-dir``: serve/publish through the artifact
     store; cached and fresh runs write byte-identical artifacts."""
     import json
@@ -283,7 +287,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the chaos scenarios (``repro chaos --scenarios all``)."""
-    import json
+    import json as json_module
     import shutil
     import tempfile
 
@@ -295,19 +299,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
-    passed = all(r.passed for r in reports)
     if args.json:
-        print(json.dumps(
-            {"passed": passed,
+        print(json_module.dumps(
+            {"passed": all(r.passed for r in reports),
              "scenarios": [r.to_dict() for r in reports]},
             indent=1, sort_keys=True))
     else:
         for report in reports:
             print(report.summary())
         failed = [r.name for r in reports if not r.passed]
-        print(f"FAILED: {', '.join(failed)}" if failed
-              else f"all {len(reports)} scenario(s) passed")
-    return 0 if passed else 1
+        verdict = (f"FAILED: {', '.join(failed)}" if failed
+                   else f"all {len(reports)} scenario(s) passed")
+        print(verdict)
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _inject(args: argparse.Namespace, device, **injector) -> list:
@@ -350,7 +354,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 1
 
 
-def _supervised_selftest(args: argparse.Namespace, config,
+def _supervised_selftest(args: argparse.Namespace, config: RamConfig,
                          device) -> int:
     """The escalation-ladder path of ``selftest`` (--retries > 0)."""
     from repro.bisr import EscalationPolicy, RepairSupervisor
@@ -448,8 +452,11 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     from repro.bist import ALL_TESTS, parse_march
     from repro.memsim import coverage_campaign
 
-    known = {t.name: t for t in ALL_TESTS}
-    march = known.get(args.march) or parse_march("custom", args.march)
+    marches = {t.name: t for t in ALL_TESTS}
+    if args.march in marches:
+        march = marches[args.march]
+    else:
+        march = parse_march("custom", args.march)
     report = coverage_campaign(
         march,
         kinds=("stuck_at", "transition", "stuck_open",
@@ -467,7 +474,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Full signoff sweep: hierarchical DRC, LVS-lite connectivity, and
     control-logic validation, with one exit code per failure class
     (0 clean, 2 configuration, 3 DRC, 4 LVS, 5 control)."""
-    import json
+    import json as json_module
 
     from repro.tech import get_process
     from repro.verify import drc_report, run_signoff
@@ -485,8 +492,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = drc_report(cell, process, label=args.cif,
                             max_findings=args.max_findings)
     else:
-        from repro.core.compiler import compile_ram
-
         trpla = None
         if args.control_dir:
             # Verify the plane-file artifact, not the in-memory
@@ -496,15 +501,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
             from repro.bist.trpla import Trpla, read_plane_files
 
             directory = Path(args.control_dir)
-            trpla = Trpla(*read_plane_files(
+            and_plane, or_plane = read_plane_files(
                 directory / "trpla_and.plane",
                 directory / "trpla_or.plane",
-            ))
-        report = run_signoff(compile_ram(config), trpla=trpla,
+            )
+            trpla = Trpla(and_plane, or_plane)
+        from repro.core.compiler import compile_ram
+
+        ram = compile_ram(config)
+        report = run_signoff(ram, trpla=trpla,
                              max_findings=args.max_findings)
 
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json_module.dumps(report.to_dict(), indent=2))
     else:
         print(report.summary())
     return report.exit_code
@@ -674,7 +683,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     from repro.analysis import optimize_spares, spare_tradeoff_table
 
     config = _config_from(args)
-    for choice in spare_tradeoff_table(config, args.defects):
+    table = spare_tradeoff_table(config, args.defects)
+    for choice in table:
         print(choice.summary())
     best = optimize_spares(config, args.defects)
     if best is None:

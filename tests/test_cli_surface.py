@@ -123,8 +123,8 @@ def test_help_and_import_load_no_compiler():
         "            runpy.run_module('repro', run_name='__main__')\n"
         "        except SystemExit as exit:\n"
         "            assert exit.code == 0, argv\n"
-        "heavy = {'numpy', 'scipy', 'repro.core.compiler'} & set(sys.modules)\n"
-        "assert not heavy, heavy\n"
+        "heavy = {'numpy', 'scipy', 'repro.core.compiler'}\n"
+        "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
         "import repro\n"
         "from repro import RamConfig, compile_ram\n"
         "assert compile_ram is repro.core.compiler.compile_ram\n"
