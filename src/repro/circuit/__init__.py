@@ -8,31 +8,33 @@ extrapolation of timing/area/power guarantees before the full layout is
 built.
 """
 
-from repro.circuit.netlist import (
-    Netlist,
-    Mosfet,
-    Resistor,
-    Capacitor,
-    VoltageSource,
-    GND,
-)
-from repro.circuit.mosfet import mosfet_current
-from repro.circuit.sizing import balance_inverter, size_for_drive
-from repro.circuit.extract import extract_parasitics
-from repro.circuit.spice_export import write_spice, export_spice, read_spice
+import importlib
 
-__all__ = [
-    "Netlist",
-    "Mosfet",
-    "Resistor",
-    "Capacitor",
-    "VoltageSource",
-    "GND",
-    "mosfet_current",
-    "balance_inverter",
-    "size_for_drive",
-    "extract_parasitics",
-    "write_spice",
-    "export_spice",
-    "read_spice",
-]
+#: Each export and the submodule it lives in, imported on first use
+#: (PEP 562) so that a device model reaching for one submodule does not
+#: load the SPICE engine and numpy through the others.
+_HOME = {
+    "Netlist": "netlist",
+    "Mosfet": "netlist",
+    "Resistor": "netlist",
+    "Capacitor": "netlist",
+    "VoltageSource": "netlist",
+    "GND": "netlist",
+    "mosfet_current": "mosfet",
+    "balance_inverter": "sizing",
+    "size_for_drive": "sizing",
+    "extract_parasitics": "extract",
+    "write_spice": "spice_export",
+    "export_spice": "spice_export",
+    "read_spice": "spice_export",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        module = importlib.import_module(f"repro.circuit.{_HOME[name]}")
+        return getattr(module, name)
+    raise AttributeError(
+        f"module 'repro.circuit' has no attribute {name!r}")

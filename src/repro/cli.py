@@ -236,6 +236,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ArtifactStore, MacroServer
     from repro.service.http import make_http_server
 
+    if not 0 <= args.port <= 65535:
+        raise ConfigError(f"--port must be in 0..65535, got {args.port}")
     store = None
     if args.cache_dir:
         budget = (int(args.cache_budget_mb * 1_000_000)

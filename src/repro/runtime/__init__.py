@@ -8,8 +8,8 @@
   journal behind ``--checkpoint`` / ``--resume``,
 * :mod:`~repro.runtime.drivers` — the sharded workloads: Monte-Carlo
   yield, supervised fault-injection repair, SPICE sizing sweeps,
-* :mod:`~repro.runtime.supervision` — the reusable supervision
-  primitives (retry policy, crash blame, deadlines, pool teardown)
+* :mod:`~repro.runtime.supervision` — the supervised worker pool
+  (dispatch, deadlines, crash blame, pool teardown) and retry policy
   shared with the service tier's process-pool build backend.
 """
 
@@ -23,9 +23,8 @@ from repro.runtime.runner import (
 )
 from repro.runtime.supervision import (
     CrashBlame,
-    DeadlineTable,
-    DelayQueue,
     RetryPolicy,
+    SupervisedPool,
     classify_error,
     terminate_pool,
 )
@@ -36,11 +35,10 @@ __all__ = [
     "CampaignSpec",
     "CheckpointJournal",
     "CrashBlame",
-    "DeadlineTable",
-    "DelayQueue",
     "RetryPolicy",
     "ShardOutcome",
     "ShardSpec",
+    "SupervisedPool",
     "classify_error",
     "fingerprint_digest",
     "terminate_pool",

@@ -2,28 +2,23 @@
 
 The statistical campaigns behind the paper's evaluation (Fig. 4 yield
 curves, the repair-probability studies, SPICE sizing sweeps) are long
-batch jobs, and before this module every one of them ran single-process
-and in-memory: one :class:`~repro.core.errors.SpiceConvergenceError`,
-one hung worker, or one Ctrl-C lost the whole run.  The runtime fixes
-that with the same posture :mod:`repro.bisr.escalation` takes toward
-faulty cells — anticipate the failure, bound the retry, degrade into a
-structured result instead of dying:
+batch jobs.  The runner treats them as :mod:`repro.bisr.escalation`
+treats faulty cells — anticipate the failure, bound the retry, degrade
+into a structured result instead of dying:
 
 * **Deterministic seed-sharding.**  A campaign is split into
   independently seeded shards via ``np.random.SeedSequence.spawn``;
   shard *i* always receives the child sequence with
   ``spawn_key == (i,)``, so aggregates are bit-identical across
   ``workers=1``, ``workers=N``, and a kill-then-resume run.
-* **Supervised workers.**  Shards execute on a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with per-shard
-  wall-clock timeouts.  A shard that raises is retried with exponential
-  backoff (the policy shape of
-  :class:`~repro.bisr.escalation.EscalationPolicy`); a shard that
-  *kills its worker* breaks the pool, so the pool is rebuilt, the
-  suspects are re-flown one at a time to separate the guilty shard from
-  innocent bystanders, and a shard that crashes a worker more than
-  ``crash_retries`` times is quarantined — it can never re-kill the
-  pool.
+* **Supervised workers.**  ``workers`` dispatch threads each run one
+  shard's attempt loop at a time over one
+  :class:`~repro.runtime.supervision.SupervisedPool` (per-shard
+  timeouts, solo re-flight of crash suspects, quarantine of a shard
+  that keeps killing workers).  A shard that raises is retried with
+  exponential backoff (the policy shape of
+  :class:`~repro.bisr.escalation.EscalationPolicy`).  Whatever ends a
+  run, no worker outlives it.
 * **Journaled checkpoints.**  Finalised shards are appended to a
   :class:`~repro.runtime.journal.CheckpointJournal`; an interrupted
   campaign resumes by adopting journaled outcomes and running only the
@@ -39,15 +34,9 @@ structured result instead of dying:
 from __future__ import annotations
 
 import random
+import threading
 import time
 from collections import Counter, deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -55,17 +44,10 @@ import numpy as np
 
 from repro.core.errors import ConfigError
 from repro.runtime.journal import CheckpointJournal, fingerprint_digest
-
-# The supervision mechanics (retry policy, crash blame, scheduling,
-# pool teardown) are shared with the service tier's process-pool build
-# backend; re-exported here because this module was their first home.
-from repro.runtime.supervision import (  # noqa: F401 - re-exports
-    CrashBlame,
-    DeadlineTable,
-    DelayQueue,
+from repro.runtime.supervision import (
     RetryPolicy,
+    SupervisedPool,
     classify_error,
-    terminate_pool,
 )
 
 # ---------------------------------------------------------------------------
@@ -293,7 +275,8 @@ class CampaignRunner:
     """Executes a :class:`CampaignSpec` under supervision.
 
     Args:
-        workers: process-pool size (>= 1).
+        workers: process-pool size (>= 1), and as many dispatch
+            threads.
         timeout_s: per-shard wall-clock budget, or None for unbounded.
             Enforcing a timeout on a hung worker requires killing the
             pool, so innocent in-flight shards are requeued (their
@@ -303,7 +286,6 @@ class CampaignRunner:
             journal-free.
         resume: adopt finalised shards from an existing journal instead
             of starting over (requires a matching fingerprint).
-        poll_s: supervisor wake-up interval in seconds.
     """
 
     def __init__(
@@ -313,26 +295,23 @@ class CampaignRunner:
         retry: Optional[RetryPolicy] = None,
         checkpoint: Optional[str] = None,
         resume: bool = False,
-        poll_s: float = 0.05,
     ) -> None:
         if workers < 1:
             raise ConfigError("workers must be >= 1")
         if timeout_s is not None and timeout_s <= 0:
             raise ConfigError("timeout_s must be positive (or None)")
-        if poll_s <= 0:
-            raise ConfigError("poll_s must be positive")
         self.workers = workers
         self.timeout_s = timeout_s
         self.retry = retry or RetryPolicy()
         self.checkpoint = checkpoint
         self.resume = resume
-        self.poll_s = poll_s
 
     # -- public API ---------------------------------------------------------
 
     def run(self, spec: CampaignSpec) -> CampaignResult:
         """Run (or resume) the campaign; never raises for shard
-        failures, only for configuration errors."""
+        failures.  Anything else (a configuration error, a journal
+        write, an interrupt) propagates after the workers are killed."""
         children = np.random.SeedSequence(spec.seed).spawn(spec.n_shards)
         outcomes: Dict[int, ShardOutcome] = {}
         journal = None
@@ -344,10 +323,10 @@ class CampaignRunner:
                     outcomes[index] = ShardOutcome(from_journal=True,
                                                    **payload)
         resumed = len(outcomes)
-        todo = [i for i in range(spec.n_shards) if i not in outcomes]
+        todo = deque(i for i in range(spec.n_shards) if i not in outcomes)
         try:
             if todo:
-                self._supervise(spec, children, todo, outcomes, journal)
+                self._run_shards(spec, children, todo, outcomes, journal)
         finally:
             if journal is not None:
                 journal.close()
@@ -372,161 +351,87 @@ class CampaignRunner:
             shards=ordered,
         )
 
-    # -- the supervision loop -----------------------------------------------
+    # -- supervision --------------------------------------------------------
 
-    def _supervise(self, spec, children, todo, outcomes, journal) -> None:
-        attempts = {i: 0 for i in todo}
-        blame = CrashBlame(self.retry.crash_retries)
-        pending = deque(todo)
-        delayed = DelayQueue()  # backoff: (eligible_time, index)
-        solo = deque()  # crash suspects, re-flown one at a time
-        in_flight: Dict[Future, int] = {}
-        deadlines = DeadlineTable()
-        pool: Optional[ProcessPoolExecutor] = None
+    def _run_shards(self, spec, children, todo, outcomes, journal) -> None:
+        """Drain ``todo`` on ``workers`` dispatch threads over one pool.
 
-        def finalize(outcome: ShardOutcome) -> None:
-            outcomes[outcome.index] = outcome
-            if journal is not None:
-                journal.record(outcome.journal_payload())
+        The first exception a thread meets stops the others and is
+        re-raised here; the pool is shut down on every exit.
+        """
+        pool = SupervisedPool(self.workers, self.retry.crash_retries)
+        lock = threading.Lock()  # todo, outcomes, the journal, errors
+        errors: List[BaseException] = []
 
-        def fail_or_retry(index: int, taxonomy: str, message: str,
-                          progress: Optional[float] = None) -> None:
-            if (taxonomy != "config"
-                    and attempts[index] < self.retry.max_attempts):
-                eta = time.monotonic() \
-                    + self.retry.backoff_s(attempts[index])
-                delayed.push(eta, index)
-            else:
-                finalize(ShardOutcome(
-                    index=index, status="failed",
-                    attempts=attempts[index], taxonomy=taxonomy,
-                    message=message, progress=progress,
-                ))
-
-        def handle_crash(suspects: List[int]) -> None:
-            # Guilt is ambiguous when several shards were in flight, so
-            # every suspect is re-flown alone; only a shard that crashes
-            # a worker while flying solo (or repeatedly) is quarantined.
-            quarantined, resuspects = blame.accuse(suspects)
-            for index in quarantined:
-                finalize(ShardOutcome(
-                    index=index, status="quarantined",
-                    attempts=attempts[index], taxonomy="crash",
-                    message=(f"worker died {blame.crashes(index)} "
-                             f"time(s) running this shard"),
-                ))
-            solo.extend(resuspects)
-
-        def discard_pool() -> None:
-            nonlocal pool
-            terminate_pool(pool)
-            pool = None
-
-        def submit(index: int) -> None:
-            nonlocal pool
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=self.workers)
-            attempts[index] += 1
-            shard = ShardSpec(index=index, n_shards=spec.n_shards,
-                              seed_seq=children[index],
-                              attempt=attempts[index])
-            try:
-                future = pool.submit(_execute_shard, spec.task,
-                                     dict(spec.params), shard)
-            except BrokenExecutor:
-                suspects = [index] + list(in_flight.values())
-                in_flight.clear()
-                deadlines.clear()
-                discard_pool()
-                handle_crash(suspects)
-                return
-            in_flight[future] = index
-            if self.timeout_s is not None:
-                deadlines.arm(future, time.monotonic() + self.timeout_s)
-
-        while pending or delayed or solo or in_flight:
-            now = time.monotonic()
-            pending.extend(delayed.pop_ready(now))
-
-            # Fill execution slots.  Crash suspects fly strictly alone
-            # so the next pool death identifies its killer.
-            if solo and not in_flight:
-                submit(solo.popleft())
-            elif not solo:
-                while (pending and not solo
-                       and len(in_flight) < self.workers):
-                    submit(pending.popleft())
-
-            if not in_flight:
-                eta = delayed.next_eta()
-                if eta is not None:
-                    time.sleep(max(0.0, min(eta - time.monotonic(),
-                                            self.poll_s)))
-                continue
-
-            done, _ = wait(list(in_flight), timeout=self.poll_s,
-                           return_when=FIRST_COMPLETED)
-            broken = False
-            suspects: List[int] = []
-            for future in done:
-                index = in_flight.pop(future)
-                deadlines.disarm(future)
+        def dispatcher() -> None:
+            while True:
+                with lock:
+                    if errors or not todo:
+                        return
+                    index = todo.popleft()
                 try:
-                    payload = future.result()
-                except BrokenExecutor:
-                    broken = True
-                    suspects.append(index)
-                    continue
-                except Exception as error:
-                    # Runner-side failure (e.g. an unpicklable result):
-                    # goes through the same retry ladder.
-                    fail_or_retry(index, classify_error(error),
-                                  f"{type(error).__name__}: {error}")
-                    continue
-                if payload["status"] == "ok":
-                    finalize(ShardOutcome(
-                        index=index, status="ok",
-                        attempts=attempts[index],
-                        result=payload["result"],
-                    ))
-                else:
-                    fail_or_retry(index, payload["taxonomy"],
-                                  payload["message"],
-                                  payload.get("progress"))
+                    outcome = self._run_shard(pool, spec, children[index],
+                                              index)
+                    with lock:
+                        outcomes[index] = outcome
+                        if journal is not None:
+                            journal.record(outcome.journal_payload())
+                except BaseException as error:  # re-raised by the caller
+                    with lock:
+                        errors.append(error)
+                    pool.shutdown()
+                    return
 
-            if broken:
-                # The pool died under us: every other in-flight shard
-                # is doomed (and a suspect) too.
-                suspects.extend(in_flight.values())
-                in_flight.clear()
-                deadlines.clear()
-                discard_pool()
-                handle_crash(suspects)
-                continue
+        threads = [threading.Thread(target=dispatcher, daemon=True)
+                   for _ in range(min(self.workers, len(todo)))]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            pool.shutdown()
+            for thread in threads:
+                if thread.is_alive():
+                    thread.join()
+        if errors:
+            raise errors[0]
 
-            if self.timeout_s is not None and deadlines:
-                now = time.monotonic()
-                overdue = [f for f in deadlines.overdue(now)
-                           if not f.done()]
-                if overdue:
-                    # The only way to stop a hung worker is to kill the
-                    # pool; innocents are requeued at the front (their
-                    # results are deterministic, only time is lost).
-                    overdue_set = set(overdue)
-                    innocents = [i for f, i in in_flight.items()
-                                 if f not in overdue_set]
-                    for future in overdue:
-                        index = in_flight.pop(future)
-                        fail_or_retry(
-                            index, "timeout",
-                            f"shard exceeded the {self.timeout_s:g}s "
-                            f"wall-clock budget",
-                        )
-                    in_flight.clear()
-                    deadlines.clear()
-                    discard_pool()
-                    for index in reversed(innocents):
-                        pending.appendleft(index)
-
-        if pool is not None:
-            pool.shutdown(wait=True)
+    def _run_shard(self, pool: SupervisedPool, spec: CampaignSpec,
+                   seed_seq, index: int) -> ShardOutcome:
+        """One shard's attempt loop; every dispatch is an attempt."""
+        attempt = 0
+        while True:
+            shard = ShardSpec(index=index, n_shards=spec.n_shards,
+                              seed_seq=seed_seq, attempt=attempt + 1)
+            outcome, payload = pool.call(
+                index, _execute_shard, spec.task, dict(spec.params), shard,
+                deadline_s=self.timeout_s)
+            if outcome == "quarantined":
+                return ShardOutcome(
+                    index=index, status="quarantined", attempts=attempt,
+                    taxonomy="crash",
+                    message=(f"worker died {pool.crashes(index)} "
+                             f"time(s) running this shard"),
+                )
+            attempt += 1
+            if outcome == "ok":
+                return ShardOutcome(index=index, status="ok",
+                                    attempts=attempt,
+                                    result=payload["result"])
+            if outcome in ("crashed", "innocent"):
+                continue  # re-flown; a crash suspect flies alone
+            if outcome == "timeout":
+                payload = {"taxonomy": "timeout",
+                           "message": (f"shard exceeded the "
+                                       f"{self.timeout_s:g}s wall-clock "
+                                       f"budget")}
+            if (payload["taxonomy"] == "config"
+                    or attempt >= self.retry.max_attempts):
+                return ShardOutcome(
+                    index=index, status="failed", attempts=attempt,
+                    taxonomy=payload["taxonomy"],
+                    message=payload["message"],
+                    progress=payload.get("progress"),
+                )
+            time.sleep(self.retry.backoff_s(attempt))

@@ -3,22 +3,19 @@
 The thread-pool server (PR 4) executes builds on threads, so every
 concurrent compile fights the GIL and a worker that dies, hangs, or
 corrupts an artifact mid-publish takes the process (or the truth) with
-it.  This backend moves builds onto supervised *worker processes*,
-reusing the supervision primitives proven by
-:mod:`repro.runtime.supervision`:
+it.  This backend moves builds onto the worker processes of one
+:class:`~repro.runtime.supervision.SupervisedPool` (the pool the
+campaign runner runs on too: per-call deadlines, solo-reflight crash
+blame, quarantine) and keeps the build's attempt loop on top:
 
-* **Per-request deadlines** — a hung worker cannot be joined; past its
-  deadline the pool is terminated and the request retried (innocent
-  co-flighted builds are re-dispatched without blame or attempt cost).
-* **Bounded-backoff retry** — transient failures re-fly up to
-  ``RetryPolicy.max_attempts`` with exponential backoff; ``config``
-  and ``signoff`` failures are deterministic and never retry.
-* **Solo-reflight crash blame** — when a worker dies, every in-flight
-  request is a suspect; suspects re-fly strictly alone so the next
-  death identifies its killer, and a request that exceeds its crash
-  budget is **quarantined** as a poison config
-  (:class:`~repro.core.errors.BuildCrashed`, raised fast on every
-  later attempt).
+* **Bounded-backoff retry** — transient failures and deadline kills
+  re-fly up to ``RetryPolicy.max_attempts`` with exponential backoff;
+  ``config`` and ``signoff`` failures are deterministic and never
+  retry.  Crash re-flights and innocent requeues (another request's
+  pool death) cost no attempt.
+* **Poison configs** — a request the pool quarantined for killing
+  workers raises :class:`~repro.core.errors.BuildCrashed` fast on
+  every later attempt.
 * **Store-mediated results** — workers *publish to the artifact
   store* and return only a status; the parent then serves the
   integrity-checked bytes from disk.  Megabytes never cross the pickle
@@ -40,9 +37,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from repro.bist.march import IFA_9, MarchTest
@@ -51,14 +46,12 @@ from repro.core.errors import (
     BuildCrashed,
     ConfigError,
     ReproError,
-    ServiceUnavailable,
     SignoffError,
 )
 from repro.runtime.supervision import (
-    CrashBlame,
     RetryPolicy,
+    SupervisedPool,
     classify_error,
-    terminate_pool,
 )
 from repro.service.bundle import build_bundle
 from repro.service.store import ArtifactStore
@@ -106,11 +99,15 @@ def build_in_worker(
     failures return (never raise) so typed details survive the pickle
     boundary, mirroring the campaign runner's worker contract.
     """
-    try:
-        if chaos_spec is not None:
-            from repro.service.chaos import apply_chaos
+    def chaos(point, store, **kwargs) -> bool:
+        if chaos_spec is None:
+            return False
+        from repro.service.chaos import apply_chaos
 
-            apply_chaos("spawn", chaos_spec, None, key)
+        return apply_chaos(point, chaos_spec, store, key, **kwargs)
+
+    try:
+        chaos("spawn", None)
         store = ArtifactStore(store_root, byte_budget=byte_budget)
         if store.contains(key) and store.verify(key):
             return {"status": "ok", "source": "store"}
@@ -137,24 +134,14 @@ def build_in_worker(
             # holder published and released.
             if store.contains(key) and store.verify(key):
                 return {"status": "ok", "source": "store"}
-            if chaos_spec is not None:
-                from repro.service.chaos import apply_chaos
-
-                apply_chaos("pre_build", chaos_spec, store, key)
+            chaos("pre_build", store)
             bundle = build_bundle(config, march, signoff=signoff,
                                   stage_cache=_worker_stage_cache())
-            if chaos_spec is not None:
-                from repro.service.chaos import apply_chaos
-
-                apply_chaos("pre_publish", chaos_spec, store, key)
-                if apply_chaos("publish", chaos_spec, store, key,
-                               bundle=bundle):
-                    return {"status": "ok", "source": "built"}
+            chaos("pre_publish", store)
+            if chaos("publish", store, bundle=bundle):
+                return {"status": "ok", "source": "built"}
             store.put(key, bundle)
-            if chaos_spec is not None:
-                from repro.service.chaos import apply_chaos
-
-                apply_chaos("post_publish", chaos_spec, store, key)
+            chaos("post_publish", store)
             return {"status": "ok", "source": "built"}
         finally:
             store.release_claim(key)
@@ -242,31 +229,18 @@ class ProcessPoolBackend:
             raise ConfigError(
                 "the process-pool backend needs an artifact store: "
                 "workers publish results through it")
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
         if deadline_s <= 0:
             raise ConfigError("deadline_s must be positive")
         self.store = store
-        self.workers = workers
         self.deadline_s = deadline_s
         self.retry = retry or RetryPolicy()
+        self.pool = SupervisedPool(workers, self.retry.crash_retries)
         self.chaos = chaos
         self.claim_stale_s = claim_stale_s if claim_stale_s is not None \
             else max(2.0 * deadline_s, 10.0)
         self.poll_s = poll_s
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._generation = 0
-        self._retired: Dict[int, str] = {}  # generation -> cause
-        self._inflight: Dict[str, int] = {}  # key -> generation
-        self._blame = CrashBlame(self.retry.crash_retries)
-        self._solo_pending: set = set()
-        self._active = 0
-        self._solo_waiting = 0
-        self._solo_active = False
-        self._shutdown = False
-        self.stats = BackendStats()
+        self._stats = BackendStats()
 
     # -- public API ---------------------------------------------------------
 
@@ -286,42 +260,43 @@ class ProcessPoolBackend:
         t0 = time.monotonic()
         attempts = 0
         innocents = 0
-        failure = ("unknown", "never dispatched")
         while True:
-            self._check_dispatchable(key)
-            solo = self._acquire_slot(key)
-            try:
-                attempts += 1
-                outcome, payload = self._dispatch(key, config, march,
-                                                  signoff, attempts)
-            finally:
-                self._release_slot(key, solo)
+            attempt = attempts + 1
+            chaos_spec = (self.chaos.spec_for(key, attempt)
+                          if self.chaos is not None else None)
+            outcome, payload = self.pool.call(
+                key, build_in_worker,
+                os.fspath(self.store.root), self.store.byte_budget,
+                config.to_dict(), march, signoff, key, attempt,
+                chaos_spec, self.claim_stale_s, self.poll_s,
+                self.deadline_s, deadline_s=self.deadline_s)
+            if outcome == "quarantined":
+                crashes = self.pool.crashes(key)
+                raise BuildCrashed(
+                    f"request {key[:16]} killed {crashes} worker(s) and "
+                    f"is quarantined as a poison config",
+                    key=key, crashes=crashes)
             if outcome == "crashed":
-                # Blame was assigned under the lock by whichever
-                # thread retired the pool; quarantine check happens at
-                # the top of the loop.  A crash retry does not consume
-                # a regular attempt: the crash budget bounds it.
-                attempts -= 1
-                continue
+                continue  # costs no attempt: the crash budget bounds it
             if outcome == "innocent":
-                attempts -= 1
                 innocents += 1
                 with self._lock:
-                    self.stats.innocent_requeues += 1
+                    self._stats.innocent_requeues += 1
                 if innocents > MAX_INNOCENT_REQUEUES:
                     raise ReproError(
                         f"build of {key[:16]} was re-queued "
                         f"{innocents} times by other requests' pool "
                         f"failures; giving up")
                 continue
+            attempts = attempt
             if outcome == "ok":
                 artifacts = self.store.get(key)
                 if artifacts is not None:
                     with self._lock:
                         if payload["source"] == "built":
-                            self.stats.builds += 1
+                            self._stats.builds += 1
                         else:
-                            self.stats.store_hits += 1
+                            self._stats.store_hits += 1
                     return BuildResult(
                         artifacts=artifacts,
                         cached=payload["source"] != "built",
@@ -332,15 +307,17 @@ class ProcessPoolBackend:
                 # Published, then lost before we could read it back
                 # (eviction race, torn disk): a retryable failure.
                 with self._lock:
-                    self.stats.post_build_misses += 1
+                    self._stats.post_build_misses += 1
                 failure = ("store_miss",
                            "bundle vanished between publish and "
                            "read-back (evicted or torn)")
             elif outcome == "timeout":
+                with self._lock:
+                    self._stats.timeouts += 1
                 failure = ("timeout",
                            f"build exceeded its {self.deadline_s:g}s "
                            f"deadline (worker killed)")
-            else:  # worker-reported failure payload
+            else:  # failed: the worker's (or the pool's) payload
                 failure = (payload["taxonomy"], payload["message"])
                 if payload["taxonomy"] == "config":
                     raise ConfigError(payload["message"])
@@ -354,17 +331,12 @@ class ProcessPoolBackend:
                     f"build of {key[:16]} failed after {attempts} "
                     f"attempt(s) [{failure[0]}]: {failure[1]}")
             with self._lock:
-                self.stats.retries += 1
+                self._stats.retries += 1
             time.sleep(self.retry.backoff_s(attempts))
 
     def shutdown(self) -> None:
         """Stop the pool; subsequent builds raise ServiceUnavailable."""
-        with self._lock:
-            self._shutdown = True
-            pool = self._pool
-            self._pool = None
-            self._cond.notify_all()
-        terminate_pool(pool)
+        self.pool.shutdown()
 
     def __enter__(self) -> "ProcessPoolBackend":
         return self
@@ -374,139 +346,14 @@ class ProcessPoolBackend:
 
     @property
     def quarantined_keys(self) -> frozenset:
+        return self.pool.quarantined
+
+    @property
+    def stats(self) -> BackendStats:
+        """A snapshot; pool deaths and quarantines come from the pool."""
         with self._lock:
-            return self._blame.quarantined
+            return replace(self._stats, crashes=self.pool.deaths,
+                           quarantined=len(self.pool.quarantined))
 
     def stats_dict(self) -> dict:
-        with self._lock:
-            data = self.stats.to_dict()
-            data["workers"] = self.workers
-            data["quarantined"] = len(self._blame.quarantined)
-            return data
-
-    # -- dispatch -----------------------------------------------------------
-
-    def _dispatch(self, key, config, march, signoff, attempt):
-        """One attempt on the pool; returns (outcome, payload)."""
-        chaos_spec = (self.chaos.spec_for(key, attempt)
-                      if self.chaos is not None else None)
-        with self._lock:
-            if self._shutdown:
-                raise ServiceUnavailable(
-                    "build backend is shut down", reason="draining")
-            if self._pool is None:
-                self._generation += 1
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers)
-            generation, pool = self._generation, self._pool
-            self._inflight[key] = generation
-        try:
-            try:
-                future = pool.submit(
-                    build_in_worker,
-                    os.fspath(self.store.root), self.store.byte_budget,
-                    config.to_dict(), march, signoff, key, attempt,
-                    chaos_spec, self.claim_stale_s, self.poll_s,
-                    self.deadline_s,
-                )
-            except (BrokenExecutor, RuntimeError) as error:
-                # The pool died before (or while) accepting the task.
-                return self._on_break(key, generation,
-                                      default_cause="crash"), None
-            try:
-                payload = future.result(timeout=self.deadline_s)
-            except FutureTimeout:
-                self._retire(generation, "timeout", overdue_key=key)
-                with self._lock:
-                    self.stats.timeouts += 1
-                return "timeout", None
-            except BrokenExecutor:
-                return self._on_break(key, generation,
-                                      default_cause="crash"), None
-            if payload["status"] == "ok":
-                return "ok", payload
-            return "failed", payload
-        finally:
-            with self._lock:
-                if self._inflight.get(key) == generation:
-                    del self._inflight[key]
-
-    def _on_break(self, key: str, generation: int,
-                  default_cause: str) -> str:
-        """Classify a BrokenExecutor: my crash, or collateral damage?"""
-        cause = self._retire(generation, default_cause)
-        if cause == "crash":
-            with self._lock:
-                if self._blame.is_quarantined(key):
-                    return "crashed"  # loop re-checks and raises
-                if key in self._solo_pending or \
-                        self._blame.crashes(key) > 0:
-                    return "crashed"
-            return "innocent"
-        # Someone else's deadline killed the pool under us.
-        return "innocent"
-
-    def _retire(self, generation: int, cause: str,
-                overdue_key: Optional[str] = None) -> str:
-        """Tear down one pool generation exactly once; returns the
-        recorded cause (first claimant wins)."""
-        with self._lock:
-            recorded = self._retired.get(generation)
-            if recorded is not None:
-                return recorded
-            self._retired[generation] = cause
-            pool = None
-            if self._generation == generation:
-                pool = self._pool
-                self._pool = None
-            if cause == "crash":
-                suspects = [k for k, g in self._inflight.items()
-                            if g == generation]
-                quarantined, resuspects = self._blame.accuse(suspects)
-                self._solo_pending.update(resuspects)
-                self._solo_pending.difference_update(quarantined)
-                self.stats.crashes += 1
-                self.stats.quarantined += len(quarantined)
-        terminate_pool(pool)
-        return cause
-
-    # -- quarantine + solo gate ---------------------------------------------
-
-    def _check_dispatchable(self, key: str) -> None:
-        with self._lock:
-            if self._shutdown:
-                raise ServiceUnavailable(
-                    "build backend is shut down", reason="draining")
-            if self._blame.is_quarantined(key):
-                raise BuildCrashed(
-                    f"request {key[:16]} killed "
-                    f"{self._blame.crashes(key)} worker(s) and is "
-                    f"quarantined as a poison config",
-                    key=key, crashes=self._blame.crashes(key))
-
-    def _acquire_slot(self, key: str) -> bool:
-        """Admit one dispatch; crash suspects fly strictly alone."""
-        with self._cond:
-            solo = key in self._solo_pending
-            if solo:
-                self._solo_waiting += 1
-                while self._active > 0 or self._solo_active:
-                    self._cond.wait()
-                self._solo_waiting -= 1
-                self._solo_active = True
-            else:
-                while self._solo_active or self._solo_waiting > 0:
-                    self._cond.wait()
-            self._active += 1
-            return solo
-
-    def _release_slot(self, key: str, solo: bool) -> None:
-        with self._cond:
-            self._active -= 1
-            if solo:
-                self._solo_active = False
-                # The solo flight is over; whatever happened, the key
-                # either survived (innocent), got re-accused (back in
-                # solo_pending via _retire), or was quarantined.
-                self._solo_pending.discard(key)
-            self._cond.notify_all()
+        return dict(self.stats.to_dict(), workers=self.pool.workers)

@@ -360,6 +360,11 @@ class TestErrorExits:
         err = self._error(capsys, command, *CFG, "--process", "bogus")
         assert "unknown process 'bogus'" in err
 
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_serve_port_out_of_range(self, capsys, port):
+        err = self._error(capsys, "serve", "--port", port)
+        assert "0..65535" in err
+
 
 class TestSimulationCommandsCompileNothing:
     """selftest, diagnose and repair-plan simulate the configuration

@@ -133,3 +133,28 @@ def test_help_and_import_load_no_compiler():
     src = str(Path(repro.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_device_models_and_strict_compile_load_no_numpy(tmp_path):
+    """``repro.memsim``, ``repro.bist`` and a strict compile never need
+    numpy, scipy or the SPICE engine; the lazy ``repro.circuit``
+    exports still resolve."""
+    code = (
+        "import sys\n"
+        "import repro.memsim, repro.bist\n"
+        "from repro.core.config import RamConfig\n"
+        "from repro.service import ArtifactStore, compile_cached\n"
+        "config = RamConfig(words=64, bpw=8, bpc=4, strap_every=8)\n"
+        f"store = ArtifactStore({str(tmp_path)!r})\n"
+        "compile_cached(config, store=store, signoff='strict')\n"
+        "numeric = {m for m in sys.modules\n"
+        "           if m.split('.')[0] in ('numpy', 'scipy')\n"
+        "           or m.startswith('repro.spice')}\n"
+        "assert not numeric, sorted(numeric)[:5]\n"
+        "import repro.circuit\n"
+        "assert all(getattr(repro.circuit, n) is not None\n"
+        "           for n in repro.circuit.__all__)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -1,4 +1,15 @@
-"""Tests for the shared supervision primitives (repro.runtime)."""
+"""Tests for the shared supervision primitives (repro.runtime).
+
+The pool tasks live at module top level: process-pool dispatch pickles
+them by qualified name.
+"""
+
+import errno
+import multiprocessing
+import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -6,16 +17,43 @@ from repro.core.errors import (
     ConfigError,
     RepairExhausted,
     ReproError,
+    ServiceUnavailable,
     SpiceConvergenceError,
 )
+from repro.runtime import CampaignRunner, CampaignSpec, CheckpointJournal
 from repro.runtime.supervision import (
     CrashBlame,
-    DeadlineTable,
-    DelayQueue,
     RetryPolicy,
+    SupervisedPool,
     classify_error,
     terminate_pool,
 )
+
+
+def echo(value):
+    return {"status": "ok", "value": value}
+
+
+def refuse(value):
+    return {"status": "failed", "taxonomy": "io", "message": str(value)}
+
+
+def die(value):
+    os._exit(17)
+
+
+def nap(seconds):
+    time.sleep(seconds)
+    return {"status": "ok"}
+
+
+def unpicklable_result(value):
+    return {"status": "ok", "value": lambda: value}
+
+
+def nap_task(params, shard):
+    time.sleep(params["nap_s"][shard.index])
+    return {"index": shard.index}
 
 
 class TestClassifyError:
@@ -75,35 +113,85 @@ class TestCrashBlame:
         assert quarantined == ["a"]
 
 
-class TestScheduling:
-    def test_delay_queue_orders_by_eta(self):
-        queue = DelayQueue()
-        queue.push(5.0, "late")
-        queue.push(1.0, "early")
-        queue.push(3.0, "middle")
-        assert queue.next_eta() == 1.0
-        assert queue.pop_ready(3.5) == ["early", "middle"]
-        assert len(queue) == 1
-        assert queue.pop_ready(10.0) == ["late"]
-        assert not queue
-        assert queue.next_eta() is None
+class TestSupervisedPool:
+    def test_outcomes_carry_the_task_payload(self):
+        pool = SupervisedPool(workers=1, crash_retries=1)
+        try:
+            assert pool.call("a", echo, 3) == \
+                ("ok", {"status": "ok", "value": 3})
+            outcome, payload = pool.call("b", refuse, "disk full")
+            assert outcome == "failed"
+            assert payload["taxonomy"] == "io"
+            outcome, payload = pool.call("c", unpicklable_result, 1)
+            assert outcome == "failed"
+            assert payload["taxonomy"] == "unexpected"
+        finally:
+            pool.shutdown()
 
-    def test_delay_queue_is_stable_for_equal_etas(self):
-        queue = DelayQueue()
-        for item in ("first", "second", "third"):
-            queue.push(1.0, item)
-        assert queue.pop_ready(1.0) == ["first", "second", "third"]
+    def test_crasher_reflies_then_is_quarantined(self):
+        pool = SupervisedPool(workers=1, crash_retries=1)
+        try:
+            assert pool.call("k", die, 0) == ("crashed", None)
+            assert pool.call("k", die, 0) == ("crashed", None)
+            assert pool.call("k", echo, 0) == ("quarantined", None)
+            assert pool.crashes("k") == 2
+            assert pool.quarantined == frozenset(["k"])
+            assert pool.deaths == 2
+            # the pool was rebuilt for everyone else
+            assert pool.call("other", echo, 1)[0] == "ok"
+        finally:
+            pool.shutdown()
 
-    def test_deadline_table(self):
-        table = DeadlineTable()
-        table.arm("a", 10.0)
-        table.arm("b", 20.0)
-        assert table.overdue(15.0) == ["a"]
-        table.disarm("a")
-        assert table.overdue(15.0) == []
-        assert len(table) == 1
-        table.clear()
-        assert not table
+    def test_deadline_kills_the_generation(self):
+        pool = SupervisedPool(workers=1, crash_retries=1)
+        try:
+            assert pool.call("slow", nap, 30, deadline_s=0.3) == \
+                ("timeout", None)
+            assert pool.deaths == 0
+            assert pool.call("next", echo, 2)[0] == "ok"
+        finally:
+            pool.shutdown()
+
+    def test_shutdown_refuses_calls_and_reaps_workers(self):
+        pool = SupervisedPool(workers=2, crash_retries=1)
+        assert pool.call("a", echo, 1)[0] == "ok"
+        pool.shutdown()
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ServiceUnavailable, match="shut down"):
+            pool.call("a", echo, 1)
+
+
+class TestRunnerTeardown:
+    def test_no_worker_outlives_a_failing_run(self, tmp_path,
+                                              monkeypatch):
+        """A journal write that fails while another shard is in
+        flight propagates out of run(), and takes the pool with it."""
+        def full_disk(self, payload):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(CheckpointJournal, "record", full_disk)
+        spec = CampaignSpec(name="teardown", task=nap_task, n_shards=2,
+                            seed=0, params={"nap_s": [0.0, 30.0]})
+        runner = CampaignRunner(
+            workers=2, checkpoint=str(tmp_path / "c.jsonl"))
+        t0 = time.monotonic()
+        with pytest.raises(OSError, match="No space"):
+            runner.run(spec)
+        assert time.monotonic() - t0 < 20.0
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_an_interrupted_run(self):
+        spec = CampaignSpec(name="teardown", task=nap_task, n_shards=2,
+                            seed=0, params={"nap_s": [30.0, 30.0]})
+        interrupt = threading.Timer(1.0, os.kill,
+                                    (os.getpid(), signal.SIGINT))
+        interrupt.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                CampaignRunner(workers=2).run(spec)
+        finally:
+            interrupt.cancel()
+        assert multiprocessing.active_children() == []
 
 
 class TestTerminatePool:
