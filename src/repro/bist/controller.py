@@ -22,7 +22,7 @@ themselves") via the ``passes`` argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Protocol, Tuple
+from typing import Callable, Dict, List, Protocol, Sequence, Tuple
 
 from repro.bist.addgen import AddGen
 from repro.bist.datagen import DataGen
@@ -139,7 +139,9 @@ class BistScheduler:
                 if element.is_delay:
                     target.retention_wait()
                     continue
-                plan = self._quiet_plan(sweep, element) if sweep else None
+                plan = quiet_plan(
+                    sweep, [(op.is_read, op.data_bit) for op in element.ops],
+                    self.datagen.pattern) if sweep else None
                 if plan is None:
                     addresses = self._addresses(element, target.word_count)
                     any_fail |= self._run_ops(target, addresses, element,
@@ -182,31 +184,6 @@ class BistScheduler:
                     target.write(address, self.datagen.pattern(op.data_bit))
         return any_fail
 
-    def _quiet_plan(self, sweep, element: MarchElement):
-        """Ask the target to split ``element`` (see ``quiet_sweep``).
-
-        None, for the op-by-op loop, when a read after the element's
-        first write expects something other than that write: every
-        row would then fail.
-        """
-        leading: List[int] = []
-        written = None
-        for op in element.ops:
-            if not op.is_read:
-                written = op.data_bit
-            elif written is None:
-                leading.append(op.data_bit)
-            elif op.data_bit != written:
-                return None
-        pattern = self.datagen.pattern
-        reads = sum(op.is_read for op in element.ops)
-        return sweep(
-            sorted({pattern(bit) for bit in leading}),
-            None if written is None else pattern(written),
-            pattern(element.ops[-1].data_bit),
-            reads, len(element.ops) - reads,
-        )
-
     def _run_sparse(self, target: TestTarget, plan, element: MarchElement,
                     pass_no: int, verification: bool,
                     result: BistResult) -> bool:
@@ -236,6 +213,35 @@ class BistScheduler:
         if element.order is Order.DOWN:
             return range(word_count - 1, -1, -1)
         return range(word_count)
+
+
+def quiet_plan(sweep, ops: Sequence[Tuple[bool, int]],
+               pattern: Callable[[int], int]):
+    """Ask a target's ``quiet_sweep`` hook to split one march element.
+
+    ``ops`` are the element's ``(is_read, data_bit)`` operations at one
+    address, in order; ``pattern`` is :meth:`DataGen.pattern` at the
+    element's background.  Returns the hook's ``(busy, advance)`` plan,
+    or None, for the op-by-op path, when a read after the element's
+    first write expects something other than that write: every row
+    would then fail.
+    """
+    leading: List[int] = []
+    written = None
+    for is_read, data_bit in ops:
+        if not is_read:
+            written = data_bit
+        elif written is None:
+            leading.append(data_bit)
+        elif data_bit != written:
+            return None
+    reads = sum(is_read for is_read, _ in ops)
+    return sweep(
+        sorted({pattern(bit) for bit in leading}),
+        None if written is None else pattern(written),
+        pattern(ops[-1][1]),
+        reads, len(ops) - reads,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +400,16 @@ def build_test_program(march: MarchTest, passes: int = 2) -> Microprogram:
     return Microprogram(states, start="idle")
 
 
+@dataclass(frozen=True)
+class _AddressLoop:
+    """One march element's per-address loop, as the PLA clocks it."""
+
+    head: int  # the state of the element's first op
+    last: int  # the state whose ``addr_step`` ends an address
+    clocks: int  # clocks per address
+    ops: Tuple[Tuple[bool, int], ...]  # (is_read, data_bit) per address
+
+
 class TrplaController:
     """Cycle-stepped controller clocked against the TRPLA personality.
 
@@ -409,6 +425,18 @@ class TrplaController:
     low, conditions above, in :attr:`AssembledPla.input_names` order),
     and control outputs are tested with bitmasks over the packed output
     word, so a clock costs two table indexes.
+
+    :meth:`step` is one clock, and the reference.  :meth:`run` is clock
+    exact but fault sparse on a target that offers ``quiet_sweep`` (see
+    :meth:`~repro.memsim.device.BisrRam.quiet_sweep`): each march
+    element's per-address loop is read off the PLA once, and when ADDGEN
+    reaches the first address of a run of quiet rows (no fault, no
+    diversion, no steering) the whole run advances in one step — the
+    target's bulk step, the clock and op counters by the loop's clocks
+    and ops per address, and ADDGEN past the run.  The run's last clock
+    is executed without its memory op, so the element's exit branch and
+    the next state are the PLA's own.  ``record_ops`` and targets
+    without the hook clock every op.
     """
 
     def __init__(self, march: MarchTest, bpw: int, target: TestTarget,
@@ -438,6 +466,7 @@ class TrplaController:
         self.state = encoding["idle"]
         self._final = {encoding["pass_done"]: False,
                        encoding["repair_fail"]: True}
+        self._loops = self._address_loops()
         address_bits = max(1, (target.word_count - 1).bit_length())
         self.addgen = AddGen(address_bits, target.word_count)
         self.datagen = DataGen(bpw)
@@ -456,24 +485,116 @@ class TrplaController:
         self.cycles += 1
         table = self._table
         conds = self._execute(table[self.state], go)
-        self.state = table[self.state | conds] & self._state_mask
-        unsuccessful = self._final.get(self.state)
-        if unsuccessful is not None:
-            self.result.repair_unsuccessful = unsuccessful
-            self.result.passes_run = self.pass_no
-            self.finished = True
+        self._latch(table[self.state | conds] & self._state_mask)
 
     def run(self, max_cycles: int = 50_000_000) -> BistResult:
         """Clock until done; raises RuntimeError on runaway programs."""
+        sweep = None if self.record_ops else getattr(
+            self.target, "quiet_sweep", None)
+        loop = runs = advance = None
         while not self.finished:
             if self.cycles >= max_cycles:
                 raise RuntimeError(
                     f"controller did not finish within {max_cycles} cycles"
                 )
+            if runs and self.state == loop.head:
+                span = runs.get(self.addgen.value)
+                if span is not None:
+                    self._jump(loop, advance, *span)
+                    continue
+            state = self.state
             self.step()
+            if sweep is not None and state in self._loops:
+                # ``state`` loaded ADDGEN: an element starts.
+                loop = self._loops[state]
+                runs, advance = self._quiet_runs(sweep, loop)
         return self.result
 
     # -- internals -----------------------------------------------------------
+
+    def _latch(self, state: int) -> None:
+        """Register the next state; a final state ends the run."""
+        self.state = state
+        unsuccessful = self._final.get(state)
+        if unsuccessful is not None:
+            self.result.repair_unsuccessful = unsuccessful
+            self.result.passes_run = self.pass_no
+            self.finished = True
+
+    def _address_loops(self) -> Dict[int, _AddressLoop]:
+        """Address-loading state -> the per-address loop it starts.
+
+        From the successor of a state that loads ADDGEN, the walk
+        follows the ``go`` transitions until it returns to its start.
+        A loop whose states drive anything but memory ops and
+        ``addr_step``, step ADDGEN before their last clock, or branch
+        on ``bg_done`` (constant over an element, but not over every
+        element) is left out: its element always clocks.
+        """
+        table, mask, out = self._table, self._state_mask, self._out
+        go, bg_done = self._cond["go"], self._cond["bg_done"]
+        loads = out["addr_reset_up"] | out["addr_reset_down"]
+        allowed = (out["op_read"] | out["op_write"] | out["data_inv"]
+                   | out["tlb_record"] | out["addr_step"])
+        loops = {}
+        for init in range(mask + 1):
+            if not table[init] & loads:
+                continue
+            head = table[init | go] & mask
+            walk = [head]
+            while len(walk) <= mask:
+                after = table[walk[-1] | go] & mask
+                if (after == head
+                        or after != table[walk[-1] | go | bg_done] & mask):
+                    break
+                walk.append(after)
+            last = walk[-1]
+            controls = [table[state] for state in walk]
+            if (table[last | go] & mask != head
+                    or table[last | go | bg_done] & mask != head
+                    or any(c & ~allowed & ~mask for c in controls)
+                    or any(c & out["addr_step"] for c in controls[:-1])
+                    or not controls[-1] & out["addr_step"]):
+                continue
+            ops = tuple((bool(c & out["op_read"]),
+                         1 if c & out["data_inv"] else 0)
+                        for c in controls
+                        if c & (out["op_read"] | out["op_write"]))
+            if ops:
+                loops[init] = _AddressLoop(head, last, len(walk), ops)
+        return loops
+
+    def _quiet_runs(self, sweep, loop: _AddressLoop):
+        """(runs, advance) for the element ADDGEN was just loaded for.
+
+        ``runs`` maps the first address of each quiet run, in march
+        order, to its ``(lo, hi)`` word span; both are None when the
+        target's hook wants the element op by op.
+        """
+        plan = quiet_plan(sweep, loop.ops, self.datagen.pattern)
+        if plan is None:
+            return None, None
+        busy, advance = plan
+        edges = [0] + [edge for span in busy for edge in span]
+        edges.append(self.target.word_count)
+        up = self.addgen.up
+        runs = {lo if up else hi - 1: (lo, hi)
+                for lo, hi in zip(edges[::2], edges[1::2]) if lo < hi}
+        return runs, advance
+
+    def _jump(self, loop: _AddressLoop, advance, lo: int, hi: int) -> None:
+        """Clock every op of the quiet words ``lo..hi-1`` in one step."""
+        advance(lo, hi)
+        self.cycles += (hi - lo) * loop.clocks
+        self.result.op_count += (hi - lo) * len(loop.ops)
+        # The run's last clock, less the memory op the bulk step made:
+        # it raises addr_done on the element's last address and steps
+        # ADDGEN past the run.
+        self.addgen.value = hi - 1 if self.addgen.up else lo
+        out = self._out
+        conds = self._execute(
+            self._table[loop.last] & ~(out["op_read"] | out["op_write"]), 1)
+        self._latch(self._table[loop.last | conds] & self._state_mask)
 
     def _execute(self, outputs: int, go: int) -> int:
         """Carry out one clock's control outputs; returns the packed

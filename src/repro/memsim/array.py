@@ -18,13 +18,14 @@ Cell indices are flat ``row * row_stride + phys_col`` where
 ``row_stride = phys_cols + spare_cols``; with no spare columns this is
 the historical ``row * phys_cols + phys_col`` layout, bit for bit.
 
-Word access has two paths.  A word on a row no fault touches, read or
-written without column steering, moves as one strided slice of the
-cell store (word bit ``i`` of column ``c`` is cell ``base + c + i *
-bpc``).  Every other access resolves bit by bit through the fault
-hooks; that per-bit path is the reference the slice path is tested
-against.  The fault-sparse march (``BisrRam.quiet_sweep``) also
-moves whole runs of fault-free rows at once with :meth:`sweep_rows`.
+Word access has two paths.  A word no fault touches, read or written
+without column steering, moves as one strided slice of the cell store
+(word bit ``i`` of column ``c`` is cell ``base + c + i * bpc``), even
+on a row where another word is faulty.  Every other access resolves
+bit by bit through the fault hooks; that per-bit path is the reference
+the slice path is tested against.  The fault-sparse march
+(``BisrRam.quiet_sweep``) also moves whole runs of fault-free rows at
+once with :meth:`sweep_rows`.
 """
 
 from __future__ import annotations
@@ -76,9 +77,11 @@ class MemoryArray:
         self._bits = bytearray(self.total_rows * self.row_stride)
         self._faults: List[Fault] = []
         self._cell_faults: Dict[int, List[Fault]] = defaultdict(list)
-        # Rows holding any faulted cell: every other row takes the
-        # whole-word slice path.
+        # Rows holding any faulted cell (what the fault-sparse march
+        # splits on), and the words ``row * bpc + column`` whose regular
+        # cells are faulted: every other word takes the slice path.
         self._faulty_rows: Set[int] = set()
+        self._faulty_words: Set[int] = set()
         # Last value sensed or driven on each physical column.
         self._column_last = bytearray(self.row_stride)
         self.read_count = 0
@@ -148,12 +151,16 @@ class MemoryArray:
                     f"outside the array"
                 )
             self._cell_faults[cell].append(fault)
-            self._faulty_rows.add(cell // self.row_stride)
+            row, phys = divmod(cell, self.row_stride)
+            self._faulty_rows.add(row)
+            if phys < self.phys_cols:
+                self._faulty_words.add(row * self.bpc + phys % self.bpc)
 
     def clear_faults(self) -> None:
         self._faults.clear()
         self._cell_faults.clear()
         self._faulty_rows.clear()
+        self._faulty_words.clear()
 
     @property
     def faults(self) -> Tuple[Fault, ...]:
@@ -207,7 +214,7 @@ class MemoryArray:
         """
         row, column = self._locate(address, row_override)
         self.read_count += 1
-        if not col_map and row not in self._faulty_rows:
+        if not col_map and row * self.bpc + column not in self._faulty_words:
             base = row * self.row_stride
             bits = self._bits[base + column:base + self.phys_cols:self.bpc]
             self._column_last[column:self.phys_cols:self.bpc] = bits
@@ -230,7 +237,7 @@ class MemoryArray:
         """Write the ``bpw``-bit ``word`` at ``address``."""
         row, column = self._locate(address, row_override)
         self.write_count += 1
-        if not col_map and row not in self._faulty_rows:
+        if not col_map and row * self.bpc + column not in self._faulty_words:
             bits = self._word_bits(word)
             base = row * self.row_stride
             self._bits[base + column:base + self.phys_cols:self.bpc] = bits

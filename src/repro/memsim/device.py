@@ -215,13 +215,33 @@ class BisrRam:
 
         A quick post-repair sanity sweep used by the examples: with a
         successful repair it returns 0 even on a fault-injected array.
+
+        Both sweeps are march elements to :meth:`quiet_sweep`: busy
+        rows go word by word through :meth:`write` and :meth:`read`,
+        the quiet runs between them in bulk, and everything the
+        word-by-word sweep leaves (cells, column history, counters,
+        ``port_ops``, diversions) comes out the same.
         """
+        words = self.word_count
+        fits = 0 <= pattern_word < 1 << self.array.bpw
         mismatches = 0
-        for address in range(self.word_count):
-            self.write(address, pattern_word)
-        for address in range(self.word_count):
-            if self.read(address) != pattern_word:
-                mismatches += 1
+        # (expect, final, reads, writes): write every word, then read
+        # every word back.
+        for expect, final, reads, writes in (([], pattern_word, 0, 1),
+                                             ([pattern_word], None, 1, 0)):
+            plan = self.quiet_sweep(expect, final, pattern_word, reads,
+                                    writes) if fits else None
+            busy, advance = plan or ([(0, words)], None)
+            lo = 0
+            for start, end in busy + [(words, words)]:
+                if lo < start:
+                    advance(lo, start)
+                for address in range(start, end):
+                    if writes:
+                        self.write(address, pattern_word)
+                    elif self.read(address) != pattern_word:
+                        mismatches += 1
+                lo = end
         return mismatches
 
     def describe(self) -> str:

@@ -1,11 +1,15 @@
-"""The fault-sparse BistScheduler against its op-by-op reference loop.
+"""The fault-sparse BistScheduler and TrplaController against their
+op-by-op reference loops.
 
-Each case builds two identically faulted fresh devices.  One runs the
-scheduler op by op (``record_ops=True``, or a target without the
-``quiet_sweep`` hook); the other runs it fault sparse.  Everything a
-caller or a later pass can observe must agree: counters, the ordered
-``record_fail`` stream, TLB and steer images, cells, the column
-history, port counters, diversions and every fault's private state.
+Each case builds identically faulted fresh devices.  The scheduler runs
+on one op by op (``record_ops=True``, or a target without the
+``quiet_sweep`` hook) and on another fault sparse; the TRPLA controller
+runs on a third clocked (``record_ops=True``) and on a fourth with its
+quiet rows jumped.  Everything a caller or a later pass can observe
+must agree within each pair: counters, the ordered ``record_fail``
+stream, TLB and steer images, cells, the column history, port
+counters, diversions, every fault's private state and, for the
+controller, the clock count.
 """
 
 import dataclasses
@@ -15,7 +19,9 @@ import pytest
 
 from repro.bisr import EscalationPolicy, RepairSupervisor
 from repro.bisr.escalation import _ConfirmingTarget
-from repro.bist import IFA_9, BistScheduler, FaultyInfrastructure
+from repro.bist import (IFA_9, BistScheduler, FaultyInfrastructure,
+                        TrplaController)
+from repro.bist.controller import BistResult
 from repro.bist.march import ALL_TESTS, MARCH_B, parse_march
 from repro.bist.ports import PortView, port_bindings
 from repro.memsim import BisrRam, DefectInjector, FaultMix
@@ -92,9 +98,35 @@ def run_both(make, march=IFA_9, view=None, prepare=None, **run):
     return sides
 
 
+def run_controllers(make, march=IFA_9, view=None, prepare=None, passes=2,
+                    divert_during_test=False, stop_on_repair_fail=True):
+    """(clocked, jumped) observations of one TrplaController run each.
+
+    The controller always halts on its first failing verification
+    read, so ``stop_on_repair_fail`` does not apply to it; the
+    re-entrant cycle is ``fresh=False``.
+    """
+    sides = []
+    for record_ops in (True, False):
+        device = make()
+        if prepare is not None:
+            prepare(device)
+        calls = logged(device)
+        target = device if view is None else view(device)
+        controller = TrplaController(march, device.array.bpw, target,
+                                     passes=passes, record_ops=record_ops,
+                                     fresh=not divert_during_test)
+        result = controller.run()
+        sides.append({**observe(device, result, calls),
+                      "cycles": controller.cycles})
+    return sides
+
+
 def assert_same(make, **kwargs):
     reference, sparse = run_both(make, **kwargs)
     assert sparse == reference
+    clocked, jumped = run_controllers(make, **kwargs)
+    assert jumped == clocked
     return reference
 
 
@@ -180,6 +212,11 @@ def test_steering_makes_every_row_busy(spare_cols, seed):
     reference = assert_same(lambda: build(seed, spare_cols=spare_cols),
                             prepare=steer, passes=4,
                             stop_on_repair_fail=False)
+    assert reference["steer"][0]
+    # A fresh controller clears the steer image; the re-entrant cycle
+    # keeps it, so the controller also runs with steering active.
+    reference = assert_same(lambda: build(seed, spare_cols=spare_cols),
+                            prepare=steer, divert_during_test=True)
     assert reference["steer"][0]
 
 
@@ -279,6 +316,91 @@ class HooklessTarget:
         self.device.reset_for_test()
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_unrepairable_controller_halts_at_the_same_clock(seed):
+    """Two spares for six defects: both controllers stop on the same
+    first failing verification read, on the same clock."""
+    clocked, jumped = run_controllers(
+        lambda: build(seed, FaultMix(intermittent=0.2), defects=6,
+                      spares=2))
+    assert not clocked["repaired"] and clocked["passes"] == 2
+    assert jumped == clocked
+
+
+def test_faulty_infrastructure_keeps_the_controller_clocked(monkeypatch):
+    def make():
+        return FaultyInfrastructure(
+            build(5, FaultMix(intermittent=0.3)), random.Random(2),
+            false_fail_rate=0.01, false_pass_rate=0.2)
+
+    reference = make()
+    clocked = TrplaController(IFA_9, 8, reference, record_ops=True)
+    clocked.run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("FaultyInfrastructure took the jump")
+
+    monkeypatch.setattr(BisrRam, "quiet_sweep", refuse)
+    proxy = make()
+    controller = TrplaController(IFA_9, 8, proxy)
+    controller.run()
+    assert controller.cycles == clocked.cycles
+    assert (controller.result.op_count, controller.result.fail_count) == \
+        (clocked.result.op_count, clocked.result.fail_count)
+    assert bytes(proxy.target.array._bits) == \
+        bytes(reference.target.array._bits)
+    assert proxy.false_fails == reference.false_fails
+
+
+def counted_steps(controller):
+    """Count the controller's calls of :meth:`TrplaController.step`."""
+    steps = []
+    step = controller.step
+
+    def counting(*args):
+        steps.append(1)
+        step(*args)
+
+    controller.step = counting
+    return steps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_controller_jumps_only_with_the_hook(seed):
+    """The jumped run clocks a fraction of the cycles; ``record_ops``
+    and a hookless target clock every one, to the same end."""
+    outcomes, clocked = {}, {}
+    for name in ("jumped", "record_ops", "hookless"):
+        device = build(seed, defects=2)
+        target = HooklessTarget(device) if name == "hookless" else device
+        controller = TrplaController(IFA_9, 8, target,
+                                     record_ops=name == "record_ops")
+        steps = counted_steps(controller)
+        result = controller.run()
+        clocked[name] = len(steps)
+        outcomes[name] = (controller.cycles, result.op_count,
+                          result.fail_count, bytes(device.array._bits),
+                          list(device.port_ops))
+    assert outcomes["record_ops"] == outcomes["hookless"] == \
+        outcomes["jumped"]
+    cycles = outcomes["jumped"][0]
+    assert clocked["record_ops"] == clocked["hookless"] == cycles
+    assert clocked["jumped"] < cycles // 2
+
+
+def test_step_is_one_clock():
+    """``step`` clocks once, with or without the hook to jump with."""
+    results = []
+    for record_ops in (False, True):
+        controller = TrplaController(IFA_9, 8, build(1, defects=2),
+                                     record_ops=record_ops)
+        for cycle in range(1, 200):
+            controller.step()
+            assert controller.cycles == cycle
+        results.append(controller.result.op_count)
+    assert results[0] == results[1] > 150
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_supervisor_outcome(seed):
     policy = EscalationPolicy(max_attempts=3)
@@ -319,3 +441,55 @@ def test_confirming_shadow_takes_the_newest_write():
     gate.write(5, 0x33)
     assert gate._expected(5) == 0x33 and gate._expected(20) is None
     assert device.array.read_word(5) == 0x33
+
+
+def check_pattern_word_by_word(device, pattern_word):
+    """The reference functional sweep ``BisrRam.check_pattern`` runs
+    in bulk on quiet rows."""
+    for address in range(device.word_count):
+        device.write(address, pattern_word)
+    return sum(device.read(address) != pattern_word
+               for address in range(device.word_count))
+
+
+def _repaired(device):
+    BistScheduler(IFA_9, device.array.bpw).run(device)
+
+
+def _steered(device):
+    device.colsteer.record(5)
+    device.set_repair_mode(True)
+
+
+@pytest.mark.parametrize("pattern_word", [0, 0xA5, 0xFF, 0x1A5, -1])
+@pytest.mark.parametrize("setup", [None, _repaired, _steered],
+                         ids=["faulted", "diverted", "steered"])
+@pytest.mark.parametrize("seed", range(6))
+def test_check_pattern_matches_the_word_by_word_sweep(seed, setup,
+                                                      pattern_word):
+    sides = []
+    for sweep in (check_pattern_word_by_word, BisrRam.check_pattern):
+        # Six defects on four spares leave some seeds unrepaired.
+        device = build(seed, FaultMix(intermittent=0.3), defects=6,
+                       spare_cols=1)
+        if setup is not None:
+            setup(device)
+        mismatches = sweep(device, pattern_word)
+        sides.append((mismatches, observe(device, BistResult(), [])))
+    assert sides[1] == sides[0]
+
+
+def test_check_pattern_cases_cover_mismatches_and_diversions():
+    mismatches = diversions = 0
+    for seed in range(6):
+        device = build(seed, FaultMix(intermittent=0.3), defects=6,
+                       spare_cols=1)
+        _repaired(device)
+        words = []
+        write = device.write
+        device.write = lambda address, word: (words.append(address),
+                                              write(address, word))
+        mismatches += device.check_pattern(0xA5) > 0
+        diversions += device.diversion_count > 0
+        assert 0 < len(words) < device.word_count  # busy rows only
+    assert mismatches and diversions

@@ -136,6 +136,19 @@ class TestSelftest:
         assert code == 1
         assert "UNSUCCESSFUL" in out
 
+    def test_large_macro_output_is_pinned(self, capsys):
+        """A 4096-word self-test prints exactly what the clocked
+        controller and the word-by-word functional sweep printed."""
+        code, out = run(capsys, "selftest", "--words", "4096", "--bpw",
+                        "32", "--bpc", "16", "--defects", "3", "--seed", "1")
+        assert code == 0
+        assert out == (
+            "injected 3 defects: ['TFf@35222', 'SA1@66864', 'SOp@123796']\n"
+            "pass 1+2: 589824 ops, 65 comparator hits, "
+            "TLB map {130: 256, 241: 257, 68: 258}\n"
+            "REPAIRED after 1 two-pass cycle(s); functional sweep "
+            "mismatches: 0\n")
+
 
 class TestSupervisedSelftest:
     def test_retries_repair_path(self, capsys):

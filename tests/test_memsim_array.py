@@ -6,7 +6,7 @@ from dataclasses import fields
 import pytest
 
 from repro.memsim import DefectInjector, FaultMix, MemoryArray
-from repro.memsim.faults import Fault, StuckAt, StuckOpen
+from repro.memsim.faults import Fault, StateCoupling, StuckAt, StuckOpen
 
 
 class TestGeometry:
@@ -210,6 +210,40 @@ class TestWholeWordPathAgreesWithPerBit:
             arrays.append((a.read_word(5), _state(a)))  # row 2, column 1
         assert arrays[0] == arrays[1]
         assert arrays[0][0] & 0b0010  # bit 1 echoes row 0's drive
+
+    def test_one_faulty_word_leaves_its_row_neighbours_whole(self):
+        """A fault picks the per-bit path for its own words only: the
+        other words of its rows still move as slices, and the two paths
+        agree with the every-cell oracle either way."""
+        arrays = []
+        for oracle in (False, True):
+            a = MemoryArray(**GEOMETRY)
+            a.inject(StuckAt(a.cell_index(2, 1, 3), 1))  # word 11
+            # A coupling fault keeps both its words busy: aggressor
+            # word 17 (row 4), victim word 22 (row 5).
+            a.inject(StateCoupling(a.cell_index(4, 0, 1),
+                                   a.cell_index(5, 3, 2), 1, 0))
+            a.inject(StuckAt(a.spare_cell_index(6, 1), 0))  # steered only
+            if oracle:
+                a.inject(_EveryCell(a.cell_count))
+            arrays.append(a)
+        fast = arrays[0]
+        assert fast.faulty_rows() == [2, 4, 5, 6]
+        resolved = []
+        resolve = fast._resolve_cell
+        fast._resolve_cell = lambda *args: (resolved.append(args[0]),
+                                            resolve(*args))[1]
+        sweeps = []
+        for a in arrays:
+            for address in range(a.words):
+                a.write_word(address, 0b0101)
+            sweeps.append([a.read_word(address) for address in range(a.words)])
+        assert sweeps[0] == sweeps[1]
+        # Words 11, 17 and 22 resolve bit by bit, once per write and read.
+        assert sorted(set(resolved)) == [2, 4, 5]
+        assert len(resolved) == 3 * 2 * fast.bpw
+        assert _random_ops(fast, 3, count=800) == \
+            _random_ops(arrays[1], 3, count=800)
 
     def test_wide_words_are_masked(self):
         a = MemoryArray(rows=2, bpw=4, bpc=2)
