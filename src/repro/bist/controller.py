@@ -22,12 +22,14 @@ themselves") via the ``passes`` argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Protocol, Sequence, Tuple
 
 from repro.bist.addgen import AddGen
 from repro.bist.datagen import DataGen
 from repro.bist.march import MarchElement, MarchTest, Order
-from repro.bist.microcode import MicroInstruction, Microprogram, assemble
+from repro.bist.microcode import (AssembledPla, MicroInstruction,
+                                  Microprogram, assemble)
 from repro.bist.trpla import Trpla
 
 
@@ -448,25 +450,18 @@ class TrplaController:
         recorded rows that still fail advance to their next spare.
         """
         self.march = march
+        self.passes = passes
         self.target = target
         self.fresh = fresh
-        program = build_test_program(march, passes)
-        self.program = program
-        self.assembled = assemble(program)
-        self.pla = Trpla(self.assembled.and_plane, self.assembled.or_plane)
-        self._table = self.pla.table
-        self.state_bits = self.assembled.state_bits
+        compiled = _compiled(march, passes)
+        self._table = compiled.table
+        self.state_bits = compiled.state_bits
         self._state_mask = (1 << self.state_bits) - 1
-        # A signal the program never uses gets mask 0: never asserted.
-        outputs = _bit_masks(self.assembled.output_names)
-        inputs = _bit_masks(self.assembled.input_names)
-        self._out = {name: outputs.get(name, 0) for name in _CONTROLS}
-        self._cond = {name: inputs.get(name, 0) for name in _CONDITIONS}
-        encoding = self.assembled.state_encoding
-        self.state = encoding["idle"]
-        self._final = {encoding["pass_done"]: False,
-                       encoding["repair_fail"]: True}
-        self._loops = self._address_loops()
+        self._out = dict(compiled.out)
+        self._cond = dict(compiled.cond)
+        self.state = compiled.idle
+        self._final = dict(compiled.final)
+        self._loops = dict(compiled.loops)
         address_bits = max(1, (target.word_count - 1).bit_length())
         self.addgen = AddGen(address_bits, target.word_count)
         self.datagen = DataGen(bpw)
@@ -475,6 +470,21 @@ class TrplaController:
         self.pass_no = 1
         self.cycles = 0
         self.finished = False
+
+    # The microprogram and its PLA, built for this controller on first
+    # use: a caller may edit them without touching other controllers.
+
+    @cached_property
+    def program(self) -> Microprogram:
+        return build_test_program(self.march, self.passes)
+
+    @cached_property
+    def assembled(self) -> AssembledPla:
+        return assemble(self.program)
+
+    @cached_property
+    def pla(self) -> Trpla:
+        return Trpla(self.assembled.and_plane, self.assembled.or_plane)
 
     # -- one clock ---------------------------------------------------------
 
@@ -520,49 +530,6 @@ class TrplaController:
             self.result.repair_unsuccessful = unsuccessful
             self.result.passes_run = self.pass_no
             self.finished = True
-
-    def _address_loops(self) -> Dict[int, _AddressLoop]:
-        """Address-loading state -> the per-address loop it starts.
-
-        From the successor of a state that loads ADDGEN, the walk
-        follows the ``go`` transitions until it returns to its start.
-        A loop whose states drive anything but memory ops and
-        ``addr_step``, step ADDGEN before their last clock, or branch
-        on ``bg_done`` (constant over an element, but not over every
-        element) is left out: its element always clocks.
-        """
-        table, mask, out = self._table, self._state_mask, self._out
-        go, bg_done = self._cond["go"], self._cond["bg_done"]
-        loads = out["addr_reset_up"] | out["addr_reset_down"]
-        allowed = (out["op_read"] | out["op_write"] | out["data_inv"]
-                   | out["tlb_record"] | out["addr_step"])
-        loops = {}
-        for init in range(mask + 1):
-            if not table[init] & loads:
-                continue
-            head = table[init | go] & mask
-            walk = [head]
-            while len(walk) <= mask:
-                after = table[walk[-1] | go] & mask
-                if (after == head
-                        or after != table[walk[-1] | go | bg_done] & mask):
-                    break
-                walk.append(after)
-            last = walk[-1]
-            controls = [table[state] for state in walk]
-            if (table[last | go] & mask != head
-                    or table[last | go | bg_done] & mask != head
-                    or any(c & ~allowed & ~mask for c in controls)
-                    or any(c & out["addr_step"] for c in controls[:-1])
-                    or not controls[-1] & out["addr_step"]):
-                continue
-            ops = tuple((bool(c & out["op_read"]),
-                         1 if c & out["data_inv"] else 0)
-                        for c in controls
-                        if c & (out["op_read"] | out["op_write"]))
-            if ops:
-                loops[init] = _AddressLoop(head, last, len(walk), ops)
-        return loops
 
     def _quiet_runs(self, sweep, loop: _AddressLoop):
         """(runs, advance) for the element ADDGEN was just loaded for.
@@ -664,3 +631,84 @@ _CONDITIONS = ("go", "retention_done", "fail", "addr_done", "bg_done")
 def _bit_masks(names: Tuple[str, ...]) -> Dict[str, int]:
     """Signal name -> its bit in a packed PLA word."""
     return {name: 1 << i for i, name in enumerate(names)}
+
+
+def _address_loops(table: Sequence[int], mask: int, out: Dict[str, int],
+                   cond: Dict[str, int]) -> Dict[int, _AddressLoop]:
+    """Address-loading state -> the per-address loop it starts.
+
+    From the successor of a state that loads ADDGEN, the walk
+    follows the ``go`` transitions until it returns to its start.
+    A loop whose states drive anything but memory ops and
+    ``addr_step``, step ADDGEN before their last clock, or branch
+    on ``bg_done`` (constant over an element, but not over every
+    element) is left out: its element always clocks.
+    """
+    go, bg_done = cond["go"], cond["bg_done"]
+    loads = out["addr_reset_up"] | out["addr_reset_down"]
+    allowed = (out["op_read"] | out["op_write"] | out["data_inv"]
+               | out["tlb_record"] | out["addr_step"])
+    loops = {}
+    for init in range(mask + 1):
+        if not table[init] & loads:
+            continue
+        head = table[init | go] & mask
+        walk = [head]
+        while len(walk) <= mask:
+            after = table[walk[-1] | go] & mask
+            if (after == head
+                    or after != table[walk[-1] | go | bg_done] & mask):
+                break
+            walk.append(after)
+        last = walk[-1]
+        controls = [table[state] for state in walk]
+        if (table[last | go] & mask != head
+                or table[last | go | bg_done] & mask != head
+                or any(c & ~allowed & ~mask for c in controls)
+                or any(c & out["addr_step"] for c in controls[:-1])
+                or not controls[-1] & out["addr_step"]):
+            continue
+        ops = tuple((bool(c & out["op_read"]),
+                     1 if c & out["data_inv"] else 0)
+                    for c in controls
+                    if c & (out["op_read"] | out["op_write"]))
+        if ops:
+            loops[init] = _AddressLoop(head, last, len(walk), ops)
+    return loops
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """What a controller reads of one ``(march, passes)`` program.
+
+    Built once per pair by :func:`_compiled` and shared by every
+    controller, so it holds only immutable values: each controller
+    makes its own dicts of the signal masks, final states and loops.
+    """
+
+    table: Tuple[int, ...]  # the PLA's compiled truth table
+    state_bits: int
+    out: Tuple[Tuple[str, int], ...]  # control output -> bitmask
+    cond: Tuple[Tuple[str, int], ...]  # condition input -> bitmask
+    idle: int
+    final: Tuple[Tuple[int, bool], ...]  # final state -> unsuccessful
+    loops: Tuple[Tuple[int, _AddressLoop], ...]
+
+
+@lru_cache(maxsize=32)
+def _compiled(march: MarchTest, passes: int) -> _Compiled:
+    """Assemble ``march`` over ``passes`` and compile its PLA, once."""
+    assembled = assemble(build_test_program(march, passes))
+    table = Trpla(assembled.and_plane, assembled.or_plane).table
+    mask = (1 << assembled.state_bits) - 1
+    # A signal the program never uses gets mask 0: never asserted.
+    outputs = _bit_masks(assembled.output_names)
+    inputs = _bit_masks(assembled.input_names)
+    out = {name: outputs.get(name, 0) for name in _CONTROLS}
+    cond = {name: inputs.get(name, 0) for name in _CONDITIONS}
+    encoding = assembled.state_encoding
+    return _Compiled(
+        table, assembled.state_bits, tuple(out.items()),
+        tuple(cond.items()), encoding["idle"],
+        ((encoding["pass_done"], False), (encoding["repair_fail"], True)),
+        tuple(_address_loops(table, mask, out, cond).items()))

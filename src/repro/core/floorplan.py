@@ -71,7 +71,8 @@ class Floorplan:
     top: Cell
     macrocells: Dict[str, Cell]
     areas_cu2: Dict[str, int]
-    assembled_pla: AssembledPla
+    #: The TRPLA personality; None for the ``with_bisr=False`` baseline.
+    assembled_pla: Optional[AssembledPla]
 
     #: mm^2 per square centimicron (1 cu = 1e-5 mm).
     _CU2_TO_MM2 = 1e-10
@@ -152,9 +153,9 @@ def build_floorplan(config: RamConfig, march: MarchTest = IFA_9,
         )
 
     # ---- BIST/BISR macrocells ---------------------------------------------
-    program = build_test_program(march, passes=2)
-    assembled = assemble(program)
+    assembled = None
     if with_bisr:
+        assembled = assemble(build_test_program(march, passes=2))
         macrocells["trpla"] = pla_cell(
             process, assembled.and_plane, assembled.or_plane, name="trpla"
         )

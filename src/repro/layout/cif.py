@@ -56,18 +56,22 @@ def write_cif(cell: Cell, stream: TextIO, layers: LayerSet) -> None:
     visit(cell)
 
     stream.write(f"( CIF for {cell.name}, database unit = 1 centimicron );\n")
+    cif_names: Dict[str, str] = {}
     for c in ordered:
         number = seen[c.name]
         stream.write(f"DS {number} 1 1;\n")
         stream.write(f"9 {c.name};\n")
         lines = []
         current_layer = None
-        for layer_name, rect in c.shapes():
-            w, h = rect.x2 - rect.x1, rect.y2 - rect.y1
+        for layer_name, (x1, y1, x2, y2) in c.shapes():
+            w, h = x2 - x1, y2 - y1
             if not (w and h):
                 continue
-            layer = layers.get(layer_name)
-            cif_layer = layer.cif_name if layer else layer_name.upper()
+            cif_layer = cif_names.get(layer_name)
+            if cif_layer is None:
+                layer = layers.get(layer_name)
+                cif_layer = cif_names[layer_name] = (
+                    layer.cif_name if layer else layer_name.upper())
             if cif_layer != current_layer:
                 lines.append(f"L {cif_layer};\n")
                 current_layer = cif_layer
@@ -75,8 +79,7 @@ def write_cif(cell: Cell, stream: TextIO, layers: LayerSet) -> None:
             # by writing doubled database units when the center is not on
             # the grid (CIF allows any unit scaling via the DS header, but
             # doubling centers is the conventional trick).
-            lines.append(f"B {w * 2} {h * 2} {rect.x1 + rect.x2} "
-                         f"{rect.y1 + rect.y2};\n")
+            lines.append(f"B {w * 2} {h * 2} {x1 + x2} {y1 + y2};\n")
         stream.write("".join(lines))
         for inst in c.instances():
             child_no = seen[inst.cell.name]

@@ -15,9 +15,12 @@ are checked for real.
 
 No rule class compares all pairs: spacing and gate checks run on one
 banded x-sweep (:func:`_near_pairs`), enclosure on a grid point index
-(:class:`_PointIndex`).  The original pairwise checks are kept as a
-test-side oracle (``tests/drc_reference.py``) that these must match
-violation for violation.
+(:class:`_PointIndex`).  Both read a :class:`~repro.geometry.Rect`
+as its ``(x1, y1, x2, y2)`` box, so no shape is copied for them.  The
+original pairwise checks are kept as a test-side oracle
+(``tests/drc_reference.py``) that these must match violation for
+violation, and ``tests/test_drc_kernels.py`` checks the sweep itself
+against an all-pairs scan.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from math import isqrt
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.geometry import Rect
+from repro.geometry import Rect, bounding_box
 from repro.layout.cell import Cell
 from repro.tech.process import Process
 
@@ -113,57 +116,68 @@ def _grid_step(boxes: Sequence[_Box]) -> int:
     The pitch is also at least the bounding box's longer side over the
     box count, so one box never spans more than O(n) cells.
     """
-    if not boxes:
+    box = bounding_box(boxes)
+    if box is None:
         return 1
-    width = max(b[2] for b in boxes) - min(b[0] for b in boxes)
-    height = max(b[3] for b in boxes) - min(b[1] for b in boxes)
+    width, height = box.width, box.height
     n = len(boxes)
     return max(1, isqrt(width * height // n), max(width, height) // n)
 
 
 def _near_pairs(boxes: Sequence[_Box], reach: int,
-                ) -> Iterator[Tuple[int, int, int, int]]:
+                ) -> List[Tuple[int, int, int, int]]:
     """Every pair of boxes within ``reach`` on both axes, once each.
 
-    Yields ``(a, b, dx, dy)`` for the pairs whose signed x and y gaps
+    Returns ``(a, b, dx, dy)`` for the pairs whose signed x and y gaps
     (negative where the extents overlap) are both below ``reach``:
     ``reach=0`` finds the pairs sharing positive area, ``reach=1`` the
     touching ones, and ``reach=r`` the pairs closer than a spacing rule
-    ``r``.
+    ``r``.  A :class:`~repro.geometry.Rect` is its own box.
 
     One x-sorted active-window pass: a box stays active while its
     ``x2`` is above the sweep position minus ``reach``, and the window
     is split into horizontal bands so a box meets only the active
-    boxes in the bands its y-range (grown by ``reach``) covers.  A pair
-    is examined in the one band holding the larger of its two ``y1``.
-    That keeps tiled arrays, where a whole column of shapes is active
-    at once, near linear: O(n log n) for the sort plus the pairs that
-    share a band.
+    boxes in the bands its y-range (grown by ``reach``) covers.  Each
+    band is pruned in place as it is visited.  A pair is examined in
+    the one band holding the larger of its two ``y1``: the new box's
+    first band, or the band where the active box starts.  That keeps
+    tiled arrays, where a whole column of shapes is active at once,
+    near linear: O(n log n) for the sort plus the pairs that share a
+    band.
     """
     step = max(reach, _grid_step(boxes))
-    bands: Dict[int, List[int]] = {}
-    for idx in sorted(range(len(boxes)), key=lambda i: boxes[i][0]):
+    bands: Dict[int, list] = {}
+    out: List[Tuple[int, int, int, int]] = []
+    push = out.append
+    xs = [box[0] for box in boxes]
+    for idx in sorted(range(len(boxes)), key=xs.__getitem__):
         x1, y1, x2, y2 = boxes[idx]
         limit = x1 - reach
-        for band in range(y1 // step, (y2 + reach - 1) // step + 1):
-            still = []
-            for a in bands.get(band, ()):
-                _, ay1, ax2, ay2 = boxes[a]
+        first = y1 // step
+        entry = (idx, x2, y1, y2, first)
+        for band in range(first, (y2 + reach - 1) // step + 1):
+            active = bands.get(band)
+            if active is None:
+                bands[band] = [entry]
+                continue
+            own = band == first
+            keep = 0
+            for item in active:
+                a, ax2, ay1, ay2, start = item
                 if ax2 <= limit:
                     continue  # out of the window for good
-                still.append(a)
-                top = max(ay1, y1)
-                if top // step == band:
-                    dx = x1 - min(ax2, x2)
-                    dy = top - min(ay2, y2)
-                    if dx < reach and dy < reach:
-                        yield a, idx, dx, dy
-            still.append(idx)
-            bands[band] = still
-
-
-def _boxes(rects: Sequence[Rect]) -> List[_Box]:
-    return [(r.x1, r.y1, r.x2, r.y2) for r in rects]
+                active[keep] = item
+                keep += 1
+                if own or start == band:
+                    dx = x1 - (ax2 if ax2 < x2 else x2)
+                    if dx < reach:
+                        dy = ((ay1 if ay1 > y1 else y1)
+                              - (ay2 if ay2 < y2 else y2))
+                        if dy < reach:
+                            push((a, idx, dx, dy))
+            del active[keep:]
+            active.append(entry)
+    return out
 
 
 def _sweep(rects: Sequence[Rect], reach: int, corner_touch: bool,
@@ -178,7 +192,7 @@ def _sweep(rects: Sequence[Rect], reach: int, corner_touch: bool,
     """
     ds = _DisjointSet(len(rects))
     close: List[Tuple[int, int, int]] = []
-    for a, b, dx, dy in _near_pairs(_boxes(rects), reach):
+    for a, b, dx, dy in _near_pairs(rects, reach):
         # spacing_to: the larger of the x and y gaps, floored at 0.
         gap = max(0, dx, dy)
         if gap == 0 and (corner_touch or _merged(rects[a], rects[b], False)):
@@ -260,7 +274,7 @@ def _crossings(polys: Sequence[Rect], diffs: Sequence[Rect],
         return []
     n = len(polys)
     found = []
-    for a, b, _, _ in _near_pairs(_boxes(polys) + _boxes(diffs), 0):
+    for a, b, _, _ in _near_pairs([*polys, *diffs], 0):
         if a < n <= b:
             found.append((b - n, a))
         elif b < n <= a:
@@ -278,14 +292,14 @@ def _endcap_violation(poly: Rect, diff: Rect,
     end).  The channel axis is inferred from which pair of gate edges
     falls strictly inside the diffusion.
     """
-    crosses_x = poly.x1 <= diff.x1 and poly.x2 >= diff.x2
-    crosses_y = poly.y1 <= diff.y1 and poly.y2 >= diff.y2
-    if crosses_x:
+    px1, py1, px2, py2 = poly
+    dx1, dy1, dx2, dy2 = diff
+    if px1 <= dx1 and px2 >= dx2:
         # Horizontal poly crossing: endcap in x already guaranteed;
         # nothing to measure on this axis.
-        margin = min(diff.x1 - poly.x1, poly.x2 - diff.x2)
-    elif crosses_y:
-        margin = min(diff.y1 - poly.y1, poly.y2 - diff.y2)
+        margin = min(dx1 - px1, px2 - dx2)
+    elif py1 <= dy1 and py2 >= dy2:
+        margin = min(dy1 - py1, py2 - dy2)
     else:
         # Poly ends inside the diffusion on both axes: no complete
         # gate is formed — flag it.
@@ -378,7 +392,8 @@ class DrcChecker:
             return []
         out = []
         for r in rects:
-            w, h = r.x2 - r.x1, r.y2 - r.y1
+            x1, y1, x2, y2 = r
+            w, h = x2 - x1, y2 - y1
             if not (w and h):
                 continue  # zero-thickness port markers are not drawn metal
             measured = w if w < h else h
@@ -392,7 +407,7 @@ class DrcChecker:
         required = self._rule(f"space.{layer}")
         if required is None or len(rects) < 2:
             return []
-        solid = [r for r in rects if r.x1 != r.x2 and r.y1 != r.y2]
+        solid = [r for r in rects if r[0] != r[2] and r[1] != r[3]]
         corner_touch = self.process.rules.corner_touch_connects()
         # A zero gap between *different* groups only happens when the
         # deck says corner contact does not conduct (otherwise the
@@ -422,18 +437,18 @@ class DrcChecker:
                     continue
                 if encloser not in indexes:
                     indexes[encloser] = _PointIndex(
-                        _boxes(by_layer.get(encloser, [])))
+                        by_layer.get(encloser, []))
                 metal = indexes[encloser]
                 for cut in cuts:
-                    x1, y1 = cut.x1 - required, cut.y1 - required
-                    x2, y2 = cut.x2 + required, cut.y2 + required
+                    cx1, cy1, cx2, cy2 = cut
+                    x1, y1 = cx1 - required, cy1 - required
+                    x2, y2 = cx2 + required, cy2 + required
                     for mx1, my1, mx2, my2 in metal.at(x1, y1):
                         if mx1 <= x1 and my1 <= y1 and x2 <= mx2 \
                                 and y2 <= my2:
                             break
                     else:
-                        margin = self._best_margin(
-                            cut, metal.at(cut.x1, cut.y1))
+                        margin = self._best_margin(cut, metal.at(cx1, cy1))
                         out.append(
                             DrcViolation(
                                 f"enclosure-{encloser}",
@@ -470,9 +485,9 @@ class DrcChecker:
     def _best_margin(cut: Rect, metal: Sequence[_Box]) -> int:
         """Largest enclosure margin any single metal box achieves."""
         best = -1
+        cx1, cy1, cx2, cy2 = cut
         for mx1, my1, mx2, my2 in metal:
-            margin = min(cut.x1 - mx1, mx2 - cut.x2, cut.y1 - my1,
-                         my2 - cut.y2)
+            margin = min(cx1 - mx1, mx2 - cx2, cy1 - my1, my2 - cy2)
             if margin > best:
                 best = margin
         return best

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.geometry import Rect
 from repro.layout.cell import Cell
-from repro.layout.drc import _boxes, _DisjointSet, _merged, _near_pairs
+from repro.layout.drc import _DisjointSet, _merged, _near_pairs
 from repro.tech.process import Process
 
 #: One endpoint: (instance name, port name).
@@ -105,7 +105,7 @@ def extract(parent: Cell, process: Optional[Process] = None) -> Netlist:
 
     abutting: List[Tuple[int, int]] = []
     for items in by_layer.values():
-        for a, b, _, _ in _near_pairs(_boxes([rects[i] for i in items]), 1):
+        for a, b, _, _ in _near_pairs([rects[i] for i in items], 1):
             i, j = sorted((items[a], items[b]))
             if j < n:
                 if placed[i][0][0] != placed[j][0][0]:

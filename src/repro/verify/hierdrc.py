@@ -28,15 +28,18 @@ Kernels.  Leaf and zone checks share the sweeps of
 * spacing — one x-sorted, y-banded active-window sweep per layer
   (``_closest_pairs``) both groups the shapes and keeps the closest
   ``(gap, a, b)`` of every close group pair: O(n log n) for the sort
-  plus the pairs that meet in a band.  Zone shapes carry their source,
-  and same-instance pairs are dropped;
+  plus the pairs that meet in a band.  The sweep reads each
+  :class:`~repro.geometry.Rect` as its ``(x1, y1, x2, y2)`` box, so no
+  shape is copied for it.  Zone shapes carry their source, and
+  same-instance pairs are dropped;
 * gate endcaps — the same sweep at zero reach over polys and
   diffusions (``_crossings``);
 * enclosure — a grid point-location index over each metal layer;
 * zone collection — :class:`_PlacedShapes` caches each cell's shapes
   per orientation for one call, finds the elements of an instance
   array near a zone by index arithmetic, and translates only the
-  shapes a zone selects;
+  shapes a zone selects (a shape placed untranslated is the cell's
+  own ``Rect``);
 * zone folding — a long zone is cut where the arrays crossing it
   start an element, and each distinct window (by its placement
   signature) is checked once (:func:`_folds_clean`).  Only a zone
@@ -257,7 +260,6 @@ class _PlacedShapes:
             box = cell.bbox()
             if box is not None:
                 box = box.transformed(Transform(orientation))
-                box = (box.x1, box.y1, box.x2, box.y2)
             self._boxes[key] = box
         return self._boxes[key]
 
@@ -269,7 +271,7 @@ class _PlacedShapes:
             turned = (cell.shapes() if orientation is Orientation.R0
                       else [(layer, r.transformed(turn))
                             for layer, r in cell.shapes()])
-            shapes = [(layer, r.x1, r.y1, r.x2, r.y2) for layer, r in turned
+            shapes = [(layer, r) for layer, r in turned
                       if r.x1 != r.x2 and r.y1 != r.y2]
             runs = []
             base = 0
@@ -352,9 +354,8 @@ class _PlacedShapes:
         ``layers`` restricts the collection to those layers.
         """
         t = transform.translation
-        self._collect(cell, transform.orientation, t.x, t.y,
-                      (region.x1, region.y1, region.x2, region.y2),
-                      out, layers)
+        self._collect(cell, transform.orientation, t.x, t.y, region, out,
+                      layers)
 
     def _collect(self, cell, orientation, tx, ty, region, out, layers):
         box, shapes, runs = self._view(cell, orientation)
@@ -366,11 +367,12 @@ class _PlacedShapes:
         if not (box[0] <= rx2 and rx1 <= box[2]
                 and box[1] <= ry2 and ry1 <= box[3]):
             return
-        for layer, x1, y1, x2, y2 in shapes:
+        for layer, rect in shapes:
+            x1, y1, x2, y2 = rect
             if x1 <= rx2 and rx1 <= x2 and y1 <= ry2 and ry1 <= y2 \
                     and (layers is None or layer in layers):
-                out.append((layer, Rect(x1 + tx, y1 + ty,
-                                        x2 + tx, y2 + ty)))
+                out.append((layer, Rect(x1 + tx, y1 + ty, x2 + tx, y2 + ty)
+                            if tx or ty else rect))
         for run in runs:
             period, _, sx, sy, _, _ = run
             for k in self._span(run, rx1, ry1, rx2, ry2):
@@ -389,21 +391,21 @@ class _PlacedShapes:
         :meth:`~repro.layout.cell.Cell.instances`).  Shapes come out in
         that order too.
         """
-        r = (region.x1, region.y1, region.x2, region.y2)
+        rx1, ry1, rx2, ry2 = region
         _, shapes, runs = self._view(cell, Orientation.R0)
         by_layer: Dict[str, List[Tuple[Rect, int]]] = {}
-        for layer, x1, y1, x2, y2 in shapes:
-            if x1 <= r[2] and r[0] <= x2 and y1 <= r[3] and r[1] <= y2 \
+        for layer, rect in shapes:
+            x1, y1, x2, y2 = rect
+            if x1 <= rx2 and rx1 <= x2 and y1 <= ry2 and ry1 <= y2 \
                     and (layers is None or layer in layers):
-                by_layer.setdefault(layer, []).append(
-                    (Rect(x1, y1, x2, y2), 0))
+                by_layer.setdefault(layer, []).append((rect, 0))
         collected: List[Tuple[str, Rect]] = []
         for run in runs:
             period, _, sx, sy, _, base = run
-            for k in self._span(run, *r):
+            for k in self._span(run, *region):
                 for j, (child, orient, dx, dy, _, _) in enumerate(period):
                     self._collect(child, orient, k * sx + dx,
-                                  k * sy + dy, r, collected, layers)
+                                  k * sy + dy, region, collected, layers)
                     source = base + k * len(period) + j + 1
                     for layer, rect in collected:
                         by_layer.setdefault(layer, []).append(
@@ -422,11 +424,10 @@ class _PlacedShapes:
         strictly inside the region.
         """
         found: set = set()
-        bounds = (region.x1, region.y1, region.x2, region.y2)
         if self._has_arrays(cell):
-            self._cuts(cell, Orientation.R0, 0, 0, bounds, axis, found)
+            self._cuts(cell, Orientation.R0, 0, 0, region, axis, found)
         return sorted(c for c in found
-                      if bounds[axis] < c < bounds[axis + 2])
+                      if region[axis] < c < region[axis + 2])
 
     def _cuts(self, cell, orientation, tx, ty, region, axis, found):
         _, _, runs = self._view(cell, orientation)
@@ -457,9 +458,7 @@ class _PlacedShapes:
         along ``axis`` and the source is as in :meth:`sourced`.
         """
         found: List[tuple] = []
-        self._atoms(cell, Orientation.R0, 0, 0,
-                    (region.x1, region.y1, region.x2, region.y2), 0, axis,
-                    found)
+        self._atoms(cell, Orientation.R0, 0, 0, region, 0, axis, found)
         found.sort(key=lambda atom: atom[0])
         return found
 
@@ -470,7 +469,7 @@ class _PlacedShapes:
         if box is None or not (box[0] <= rx2 and rx1 <= box[2]
                                and box[1] <= ry2 and ry1 <= box[3]):
             return
-        for layer, x1, y1, x2, y2 in shapes:
+        for layer, (x1, y1, x2, y2) in shapes:
             if x1 <= rx2 and rx1 <= x2 and y1 <= ry2 and ry1 <= y2:
                 x1, y1, x2, y2 = x1 + tx, y1 + ty, x2 + tx, y2 + ty
                 found.append(((y1, y2) if axis else (x1, x2))
@@ -499,18 +498,19 @@ def _clip(box: Tuple[int, int, int, int],
           ) -> Optional[Tuple[int, int, int, int]]:
     """``box`` cut to ``clip`` along ``axis``; None when nothing is left.
 
-    A ``None`` bound leaves that side uncut.
+    A ``None`` bound leaves that side uncut.  A box the clip does not
+    cut comes back as itself; a cut one as a new :class:`Rect`.
     """
     lo, hi = clip
     a1, a2 = box[axis], box[axis + 2]
-    if lo is not None:
-        a1 = max(a1, lo)
-    if hi is not None:
-        a2 = min(a2, hi)
-    if a1 >= a2:
+    c1 = a1 if lo is None or a1 >= lo else lo
+    c2 = a2 if hi is None or a2 <= hi else hi
+    if c1 >= c2:
         return None
-    return ((a1, box[1], a2, box[3]) if axis == 0
-            else (box[0], a1, box[2], a2))
+    if c1 == a1 and c2 == a2:
+        return box
+    return (Rect(c1, box[1], c2, box[3]) if axis == 0
+            else Rect(box[0], c1, box[2], c2))
 
 
 def _cross_spacing(checker: DrcChecker, layer: str,
@@ -662,9 +662,7 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
         key=lambda k: boxes[k].x1)
     rank = {k: i for i, k in enumerate(order)}
     pairs = []
-    for i, j, _, _ in _near_pairs(
-            [(boxes[k].x1, boxes[k].y1, boxes[k].x2, boxes[k].y2)
-             for k in order], halo + 1):
+    for i, j, _, _ in _near_pairs([boxes[k] for k in order], halo + 1):
         a, k = order[min(i, j)], order[max(i, j)]
         pairs.append((rank[k], rank[a], a, k))
     pairs.sort()
@@ -822,9 +820,9 @@ def _window_clean(checker: DrcChecker,
     cut: Dict[str, List[Tuple[Rect, int]]] = {}
     for layer, items in by_layer.items():
         for rect, src in items:
-            box = _clip((rect.x1, rect.y1, rect.x2, rect.y2), clip, axis)
+            box = _clip(rect, clip, axis)
             if box is not None:
-                cut.setdefault(layer, []).append((Rect(*box), src))
+                cut.setdefault(layer, []).append((box, src))
     for layer, items in cut.items():
         required = rules.get(f"space.{layer}")
         if not required or len(items) < 2:
@@ -859,8 +857,7 @@ def _dedup(violations: Sequence[DrcViolation]) -> List[DrcViolation]:
     seen: set = set()
     out: List[DrcViolation] = []
     for v in violations:
-        key = (v.rule, v.layer, v.measured, v.required,
-               v.where.x1, v.where.y1, v.where.x2, v.where.y2)
+        key = (v.rule, v.layer, v.measured, v.required, v.where)
         if key not in seen:
             seen.add(key)
             out.append(v)

@@ -1,13 +1,16 @@
 """Byte goldens of the behaviour contract and of the DRC cache keys.
 
 A strict compile of the 1024x32/8 macro must write the same
-``macro.cif``, TRPLA plane files and datasheet, byte for byte, and a
+``macro.cif``, TRPLA plane files and datasheet, byte for byte, a small
+macro must write the same ``macro.cif`` on every packaged deck, and a
 fixed cell must hash to the same content key, so verdicts cached under
 earlier keys stay valid.  Changes that only make the compiler faster
 leave every digest here alone.
 """
 
 import hashlib
+
+import pytest
 
 from repro.bist.controller import build_test_program
 from repro.bist.march import IFA_9
@@ -39,6 +42,31 @@ def test_strict_1024x32_compile_is_byte_identical():
     digests = {name: hashlib.sha256(bundle[name]).hexdigest()
                for name in STRICT_1024X32_GOLDENS}
     assert digests == STRICT_1024X32_GOLDENS
+
+
+#: sha256 of the strict 64x8/4 (strap every 8) ``macro.cif`` per deck.
+SMALL_CIF_GOLDENS = {
+    "cda05":
+        "2f0f6208a55e5ec5d93a8d34fd939c7f8610b85ba69bbd7142f2bd0e84c74a7c",
+    "cda07":
+        "9b2f54d6fae49468828bc568a4e4a71d1e7a4cf56891644c583716f610441001",
+    "mos06":
+        "08defc019d4e82820736b5f888d360b5e1870ac2106ee23b900bc096548beff8",
+    "mos08":
+        "2927969b9fbf08c96668afc369420837569f798e7fa5b08edd8ced52e6a49a63",
+    "scn4m":
+        "a903571918501c40c094f591a2fd4cd1af08ee79da3f0105be59d07c21550f11",
+    "pfin7":
+        "055e5a50b7ece2104192b8f9523c3c8b396180e0528b12c30984f99c1785f6d2",
+}
+
+
+@pytest.mark.parametrize("deck", sorted(SMALL_CIF_GOLDENS))
+def test_small_strict_compile_cif_is_byte_identical(deck):
+    config = RamConfig(words=64, bpw=8, bpc=4, strap_every=8, process=deck)
+    bundle = build_bundle(config, signoff="strict")
+    assert hashlib.sha256(bundle["macro.cif"]).hexdigest() == \
+        SMALL_CIF_GOLDENS[deck]
 
 
 def _fixed_cells():

@@ -186,8 +186,43 @@ class TestTrplaController:
         assert c.result.op_count == 0
         assert not c.finished
 
+    def test_controllers_share_no_mutable_personality(self):
+        """One compiled program serves every controller of a (march,
+        passes) pair, but what a controller exposes is its own."""
+        first = TrplaController(IFA_9, bpw=4, target=device())
+        second = TrplaController(IFA_9, bpw=4, target=device())
+        assert first.pla is not second.pla
+        assert first.program is not second.program
+        assert first.assembled is not second.assembled
+        original_and = list(second.pla.and_plane)
+        first.pla.and_plane[0] = (0,) * len(first.pla.and_plane[0])
+        first.pla.or_plane.clear()
+        first.program.states.clear()
+        first.assembled.state_encoding.clear()
+        first._out.clear()
+        first._loops.clear()
+        assert second.pla.and_plane == original_and
+        assert second.pla.or_plane and second.program.states
+        assert second.assembled.state_encoding["idle"] == second.state
+        third = TrplaController(IFA_9, bpw=4, target=device())
+        assert third.pla.and_plane == original_and
+        assert third.pla.table == second.pla.table
+        reference = BistScheduler(IFA_9, bpw=4, record_ops=True).run(
+            device())
+        assert TrplaController(IFA_9, bpw=4, target=device(),
+                               record_ops=True).run().ops == reference.ops
 
-MIXES = {"solid": FaultMix(),
+    def test_two_marches_compile_apart(self):
+        ifa = TrplaController(IFA_9, bpw=4, target=device())
+        mats = TrplaController(MATS_PLUS, bpw=4, target=device())
+        four = TrplaController(IFA_9, bpw=4, target=device(), passes=4)
+        assert ifa._table != mats._table
+        assert len(four.program.states) > len(ifa.program.states)
+        assert ifa._table == ifa.pla.table
+        assert four._table == four.pla.table
+
+
+MIXES ={"solid": FaultMix(),
          "in_field": FaultMix(intermittent=0.3, wearout=0.3)}
 
 

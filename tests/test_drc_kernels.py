@@ -11,12 +11,12 @@ same order as the per-shape original.
 
 from dataclasses import replace
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import ALL_ORIENTATIONS, Point, Rect, Transform
 from repro.layout.cell import Cell
-from repro.layout.drc import DrcChecker
+from repro.layout.drc import DrcChecker, _near_pairs
 from repro.tech import get_process
 from repro.tech.rules import DesignRules
 from repro.verify.hierdrc import _cross_gates, _cross_spacing, _PlacedShapes
@@ -191,3 +191,58 @@ def test_zone_collection_matches_reference(case):
     _PlacedShapes().collect(top, transform, region, fast)
     ref.shapes_in_region(top, transform, region, slow)
     assert fast == slow
+
+
+def _all_pairs(boxes, reach):
+    """The brute-force sweep: every pair, each in sweep orientation.
+
+    ``(a, b)`` has ``a`` before ``b`` in the stable ``x1`` order the
+    sweep visits boxes in; ``dx``/``dy`` are the signed gaps.
+    """
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
+    found = []
+    for p, a in enumerate(order):
+        for b in order[p + 1:]:
+            ax1, ay1, ax2, ay2 = boxes[a]
+            bx1, by1, bx2, by2 = boxes[b]
+            dx = bx1 - min(ax2, bx2)
+            dy = max(ay1, by1) - min(ay2, by2)
+            if dx < reach and dy < reach:
+                found.append((a, b, dx, dy))
+    return sorted(found)
+
+
+@st.composite
+def box_soups(draw):
+    """Rects with negative corners, zero widths and heights, and sizes
+    up to several grid bands, at reach 0, 1 or a rule distance."""
+    coord = st.integers(-60, 60)
+    size = st.one_of(st.integers(0, 3), st.integers(0, 90))
+    boxes = [Rect(x, y, x + w, y + h) for x, y, w, h in draw(st.lists(
+        st.tuples(coord, coord, size, size), max_size=40))]
+    return boxes, draw(st.sampled_from((0, 1, 3, 7, 25)))
+
+
+@SOUP
+@given(box_soups())
+@example(([Rect(0, 0, 1, 10), Rect(0, 0, 20, 10), Rect(5, 0, 6, 10),
+           Rect(5, 11, 6, 12)], 1)).via("a box expires from a live band")
+@example(([Rect(0, -40, 0, 40), Rect(0, -40, 3, -40), Rect(-5, 0, 9, 0),
+           Rect(-5, -5, -5, 5)], 0)).via("zero-width and zero-height boxes")
+def test_near_pairs_equals_all_pairs(soup):
+    boxes, reach = soup
+    got = _near_pairs(boxes, reach)
+    assert sorted(got) == _all_pairs(boxes, reach)
+    assert len(set(got)) == len(got)
+    assert _near_pairs([tuple(b) for b in boxes], reach) == got
+
+
+def test_near_pairs_prunes_expired_boxes_in_place():
+    """A band keeps its live boxes, in order, when one expires."""
+    # The tall box at x 0..1 expires before x 5; the wide one stays
+    # active in the same band and still meets the later boxes.
+    boxes = [Rect(0, 0, 1, 50), Rect(0, 0, 40, 50), Rect(5, 0, 6, 50),
+             Rect(8, 0, 9, 50), Rect(30, 0, 31, 50)]
+    assert _near_pairs(boxes, 1) == [(0, 1, -1, -50), (1, 2, -1, -50),
+                                     (1, 3, -1, -50), (1, 4, -1, -50)]
+    assert sorted(_near_pairs(boxes, 3)) == _all_pairs(boxes, 3)

@@ -1,5 +1,8 @@
 """Unit tests for repro.geometry.rect."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.geometry import Point, Rect, bounding_box, total_area
@@ -126,6 +129,88 @@ class TestDerivedRects:
         assert rect.transformed(Transform()) is rect
 
 
+class TestValueSemantics:
+    """A Rect is an immutable ``(x1, y1, x2, y2)`` tuple.
+
+    Rect-vs-Rect equality, ordering and hashing are those of the field
+    tuple, so set and dict orders, sorted shape lists and digests follow
+    the coordinates alone.
+    """
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for fields in ((0, 0, 0, 0), (1, 2, 3, 4), (-7, -3, 5, 9)):
+            assert hash(Rect(*fields)) == hash(fields)
+        assert len({Rect(1, 2, 3, 4), Rect(1, 2, 3, 4)}) == 1
+
+    def test_ordering_is_pinned(self):
+        rects = [Rect(0, 0, 2, 2), Rect(-1, 5, 0, 6), Rect(0, 0, 1, 9),
+                 Rect(0, -1, 3, 3), Rect(0, 0, 1, 2)]
+        assert sorted(rects) == [Rect(-1, 5, 0, 6), Rect(0, -1, 3, 3),
+                                 Rect(0, 0, 1, 2), Rect(0, 0, 1, 9),
+                                 Rect(0, 0, 2, 2)]
+        assert Rect(0, 0, 1, 1) < Rect(0, 0, 1, 2) <= Rect(0, 0, 1, 2)
+        shapes = [("poly", Rect(3, 0, 4, 1)), ("metal1", Rect(9, 9, 9, 9)),
+                  ("poly", Rect(1, 0, 2, 1))]
+        assert sorted(shapes) == [shapes[1], shapes[2], shapes[0]]
+
+    def test_is_its_box(self):
+        r = Rect(1, 2, 3, 4)
+        assert tuple(r) == (1, 2, 3, 4)
+        x1, y1, x2, y2 = r
+        assert (x1, y1, x2, y2) == (r.x1, r.y1, r.x2, r.y2)
+        assert r[2] == 3 and len(r) == 4
+
+    def test_fields_cannot_be_assigned(self):
+        r = Rect(1, 2, 3, 4)
+        for name in ("x1", "y1", "x2", "y2"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+        with pytest.raises(AttributeError):
+            r.extra = 1  # no instance dict
+        assert r == Rect(1, 2, 3, 4)
+
+    def test_constructors_reject_or_canonicalise(self):
+        with pytest.raises(ValueError):
+            Rect(0, 5, 5, 0)
+        with pytest.raises(TypeError):
+            Rect(1, 2, 3)
+        assert Rect.from_points(Point(4, -1), Point(-2, 3)) == \
+            Rect(-2, -1, 4, 3)
+        with pytest.raises(ValueError):
+            Rect.from_size(Point(0, 0), 3, -1)
+        assert Rect(1, 2, 3, 5).transformed(Transform(Orientation.MY90)) \
+            == _matrix_transformed(Rect(1, 2, 3, 5),
+                                   Transform(Orientation.MY90))
+        assert Rect(0, 0, 2, 2).expanded(-3) == Rect(-1, -1, 3, 3)
+        assert Rect(0, 0, 4, 4).intersection(Rect(4, 1, 6, 2)) == \
+            Rect(4, 1, 4, 2)
+        assert Rect(0, 0, 1, 1).intersection(Rect(2, 2, 3, 3)) is None
+        assert Rect(5, 5, 6, 6).union_bbox(Rect(-1, 0, 0, 9)) == \
+            Rect(-1, 0, 6, 9)
+
+    def test_namedtuple_helpers_keep_the_check(self):
+        with pytest.raises(ValueError):
+            Rect._make((3, 0, 0, 3))
+        with pytest.raises(ValueError):
+            Rect(0, 0, 2, 2)._replace(x1=5)
+        assert Rect(0, 0, 2, 2)._replace(x2=7) == Rect(0, 0, 7, 2)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        r = Rect(-3, 1, 4, 1)
+        back = pickle.loads(pickle.dumps(r, protocol))
+        assert back == r and type(back) is Rect
+
+    def test_copy_round_trip(self):
+        r = Rect(-3, 1, 4, 8)
+        for clone in (copy.copy(r), copy.deepcopy(r)):
+            assert clone == r and type(clone) is Rect
+
+    def test_repr_is_unchanged(self):
+        assert repr(Rect(1, -2, 3, 4)) == "Rect(x1=1, y1=-2, x2=3, y2=4)"
+        assert str(Rect(0, 0, 0, 0)) == "Rect(x1=0, y1=0, x2=0, y2=0)"
+
+
 class TestAggregates:
     def test_bounding_box(self):
         rects = [Rect(0, 0, 1, 1), Rect(5, -2, 6, 0), Rect(2, 3, 3, 9)]
@@ -138,6 +223,10 @@ class TestAggregates:
 
     def test_bounding_box_single(self):
         assert bounding_box([Rect(3, -1, 4, 7)]) == Rect(3, -1, 4, 7)
+
+    def test_bounding_box_of_one_rect_is_a_type_error(self):
+        with pytest.raises(TypeError, match="collection of Rects"):
+            bounding_box(Rect(3, -1, 4, 7))
 
     def test_bounding_box_generator(self):
         rects = [Rect(0, 0, 1, 1), Rect(5, -2, 6, 0), Rect(2, 3, 3, 9)]
