@@ -103,8 +103,8 @@ def test_diagnosis_verdict_matches_bist_outcome(benchmark):
                         rng.randrange(ROWS), device.array.phys_cols, 1,
                     ))
             probe = BisrRam(rows=ROWS, bpw=BPW, bpc=BPC, spares=SPARES)
-            probe.array._faults = device.array._faults
-            probe.array._cell_faults = device.array._cell_faults
+            for fault in device.array.faults:
+                probe.array.inject(fault)
             records = collect_fail_records(IFA_9, probe, bpw=BPW)
             verdict = diagnose(records, ROWS, BPW, BPC, SPARES)
             outcome = BistScheduler(IFA_9, bpw=BPW).run(device)

@@ -179,6 +179,27 @@ def supervisor_result_from_dict(data: Mapping) -> SupervisorResult:
     return SupervisorResult(**common)
 
 
+def sweep_unrepaired(target: TestTarget, bpw: int,
+                     bpc: int) -> Tuple[int, ...]:
+    """Localise still-faulty rows with diversion (and steering) active.
+
+    A destructive write/read sweep over both data polarities —
+    acceptable after a supervised or 2-D repair run because that is a
+    test context, and the caller needs the row list to degrade around
+    (the mission computer's degrade-around map).
+    """
+    mask = (1 << bpw) - 1
+    target.set_repair_mode(True)
+    bad_rows: Set[int] = set()
+    for pattern in (0, mask):
+        for address in range(target.word_count):
+            target.write(address, pattern)
+        for address in range(target.word_count):
+            if target.read(address) != pattern:
+                bad_rows.add(address // bpc)
+    return tuple(sorted(bad_rows))
+
+
 class _ConfirmingTarget:
     """TestTarget proxy gating ``record_fail`` behind N-of-M re-reads.
 
@@ -360,7 +381,8 @@ class RepairSupervisor:
             probe_reads=probe_reads,
             backoff_cycles=total_backoff,
             history=tuple(history),
-            unrepaired_rows=self._sweep_unrepaired(target),
+            unrepaired_rows=sweep_unrepaired(target, self.bpw,
+                                             self._bpc(target)),
             reason=reason,
         )
 
@@ -377,25 +399,6 @@ class RepairSupervisor:
                     f"(suspected flaky comparator or transient upsets)")
         return (f"repair did not converge within "
                 f"{self.policy.max_attempts} attempt(s)")
-
-    def _sweep_unrepaired(self, target: TestTarget) -> Tuple[int, ...]:
-        """Localise still-faulty rows with diversion active.
-
-        A destructive write/read sweep over both data polarities —
-        acceptable here because the supervised flow is a test context,
-        and the caller needs the row list to degrade around.
-        """
-        bpc = self._bpc(target)
-        mask = (1 << self.bpw) - 1
-        target.set_repair_mode(True)
-        bad_rows: Set[int] = set()
-        for pattern in (0, mask):
-            for address in range(target.word_count):
-                target.write(address, pattern)
-            for address in range(target.word_count):
-                if target.read(address) != pattern:
-                    bad_rows.add(address // bpc)
-        return tuple(sorted(bad_rows))
 
     # -- device introspection -----------------------------------------------------
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, List, Protocol, Sequence, Tuple
+from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
+                    Tuple)
 
 from repro.bist.addgen import AddGen
 from repro.bist.datagen import DataGen
@@ -50,6 +51,10 @@ class TestTarget(Protocol):
 
     @property
     def word_count(self) -> int: ...
+
+
+#: A comparator-hit sink: ``(address, observed, expected)``.
+FailSink = Callable[[int, int, int], None]
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,10 @@ class BistScheduler:
     in one bulk step that leaves counters, cells and column history as
     the loop would.  ``record_ops`` and targets without the hook keep
     the op-by-op loop everywhere.
+
+    :meth:`run_pass` is one such pass with a fail sink and no repair
+    plumbing; it is the one march walk that self-test, diagnosis,
+    2-D repair and transparent BIST share.
     """
 
     def __init__(self, march: MarchTest, bpw: int,
@@ -115,11 +124,15 @@ class BistScheduler:
         if passes < 1:
             raise ValueError("need at least one pass")
         result = BistResult()
+
+        def record(address: int, observed: int, expected: int) -> None:
+            target.record_fail(address)
+
         for pass_no in range(1, passes + 1):
             target.set_repair_mode(pass_no >= 2 or divert_during_test)
             verification = pass_no % 2 == 0
             failed = self._run_single_pass(
-                target, pass_no, verification, result
+                target, pass_no, None if verification else record, result
             )
             result.passes_run = pass_no
             if verification:
@@ -130,8 +143,26 @@ class BistScheduler:
                     break  # repaired and verified; later passes unneeded
         return result
 
+    def run_pass(self, target,
+                 on_fail: Optional[FailSink] = None) -> BistResult:
+        """One march pass over ``target``, in its current repair mode.
+
+        ``on_fail(address, observed, expected)`` receives every
+        comparator hit in march order — the diagnosis-mode log.  The
+        pass only reads and writes: it neither switches repair mode
+        nor records into the TLB, so ``target`` needs only
+        ``word_count``, ``read``, ``write`` and ``retention_wait``
+        (plus ``quiet_sweep`` to run fault sparse).
+        """
+        result = BistResult()
+        self._run_single_pass(target, 1, on_fail, result)
+        result.passes_run = 1
+        return result
+
     def _run_single_pass(self, target: TestTarget, pass_no: int,
-                         verification: bool, result: BistResult) -> bool:
+                         on_fail: Optional[FailSink],
+                         result: BistResult) -> bool:
+        """The march element walk every pass of every flow runs."""
         any_fail = False
         sweep = None if self.record_ops else getattr(
             target, "quiet_sweep", None)
@@ -147,18 +178,17 @@ class BistScheduler:
                 if plan is None:
                     addresses = self._addresses(element, target.word_count)
                     any_fail |= self._run_ops(target, addresses, element,
-                                              pass_no, verification, result)
+                                              pass_no, on_fail, result)
                 else:
                     any_fail |= self._run_sparse(target, plan, element,
-                                                 pass_no, verification,
-                                                 result)
+                                                 pass_no, on_fail, result)
             if self.datagen.done:
                 break
             self.datagen.step()
         return any_fail
 
     def _run_ops(self, target: TestTarget, addresses, element: MarchElement,
-                 pass_no: int, verification: bool,
+                 pass_no: int, on_fail: Optional[FailSink],
                  result: BistResult) -> bool:
         """The reference loop: every op of ``element`` at each address."""
         any_fail = False
@@ -180,14 +210,15 @@ class BistScheduler:
                     if self.datagen.compare(word, op.data_bit):
                         any_fail = True
                         result.fail_count += 1
-                        if not verification:
-                            target.record_fail(address)
+                        if on_fail is not None:
+                            on_fail(address, word,
+                                    self.datagen.pattern(op.data_bit))
                 else:
                     target.write(address, self.datagen.pattern(op.data_bit))
         return any_fail
 
     def _run_sparse(self, target: TestTarget, plan, element: MarchElement,
-                    pass_no: int, verification: bool,
+                    pass_no: int, on_fail: Optional[FailSink],
                     result: BistResult) -> bool:
         """Busy spans op by op, the quiet runs between them in bulk."""
         busy, advance = plan
@@ -204,7 +235,7 @@ class BistScheduler:
                 addresses = range(hi - 1, lo - 1, -1) if down else \
                     range(lo, hi)
                 any_fail |= self._run_ops(target, addresses, element,
-                                          pass_no, verification, result)
+                                          pass_no, on_fail, result)
             elif lo < hi:
                 advance(lo, hi)
                 result.op_count += (hi - lo) * len(element.ops)

@@ -22,13 +22,14 @@ exception.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Set, Tuple
+from typing import Mapping, Optional, Set, Tuple
 
 from repro.bisr.allocate import RepairPlan, allocate, repair_plan_from_dict
 from repro.bisr.escalation import (
     DegradedResult,
     SupervisorResult,
     supervisor_result_from_dict,
+    sweep_unrepaired,
 )
 from repro.bist.march import MarchTest
 from repro.memsim.diagnosis import collect_fail_records, fault_bitmap
@@ -152,7 +153,7 @@ class TwoDRepairController:
             probe_reads += array.read_count - reads_before
             bitmap = fault_bitmap(records, self.bpw, array.bpc)
             if not bitmap:
-                return self._success(device, plan, cycle, probe_reads)
+                return self._result(device, plan, cycle, probe_reads)
 
             # Classify this cycle's failures: a failure on a diverted
             # or steered resource means the *spare* is faulty and the
@@ -193,7 +194,7 @@ class TwoDRepairController:
                 for c in plan.cols:
                     progress |= steer.record(c)
                 if not plan.repairable:
-                    return self._degraded(
+                    return self._result(
                         device, plan, cycle, probe_reads,
                         reason=f"allocation infeasible: {plan.reason}"
                         if plan.reason else "allocation infeasible",
@@ -207,20 +208,21 @@ class TwoDRepairController:
                 else:
                     reason = (f"repair did not converge after "
                               f"{cycle} cycle(s)")
-                return self._degraded(device, plan, cycle, probe_reads,
-                                      reason=reason)
+                return self._result(device, plan, cycle, probe_reads,
+                                    reason=reason)
 
-        return self._degraded(
+        return self._result(
             device, plan, max_cycles, probe_reads,
             reason=f"cycle budget {max_cycles} exhausted",
         )
 
     # -- outcomes ----------------------------------------------------------
 
-    def _success(self, device, plan, cycles: int,
-                 probe_reads: int) -> Repair2DResult:
-        outcome = SupervisorResult(
-            repaired=True,
+    def _result(self, device, plan, cycles: int, probe_reads: int,
+                reason: Optional[str] = None) -> Repair2DResult:
+        """Repaired, or — given a ``reason`` — degraded, with the
+        still-broken rows localised."""
+        common = dict(
             attempts=cycles,
             confirmed_rows=tuple(sorted(device.tlb.mapped_rows())),
             rejected_addresses=(),
@@ -228,6 +230,14 @@ class TwoDRepairController:
             probe_reads=probe_reads,
             backoff_cycles=0,
         )
+        if reason is None:
+            outcome = SupervisorResult(repaired=True, **common)
+        else:
+            outcome = DegradedResult(
+                repaired=False, reason=reason,
+                unrepaired_rows=sweep_unrepaired(device, self.bpw,
+                                                 device.array.bpc),
+                **common)
         return Repair2DResult(
             outcome=outcome,
             plan=plan,
@@ -235,43 +245,3 @@ class TwoDRepairController:
             spare_cols_used=device.colsteer.spares_used,
             cycles=cycles,
         )
-
-    def _degraded(self, device, plan, cycles: int, probe_reads: int,
-                  reason: str) -> Repair2DResult:
-        outcome = DegradedResult(
-            repaired=False,
-            attempts=cycles,
-            confirmed_rows=tuple(sorted(device.tlb.mapped_rows())),
-            rejected_addresses=(),
-            spares_used=device.tlb.spares_used,
-            probe_reads=probe_reads,
-            backoff_cycles=0,
-            unrepaired_rows=self._sweep_unrepaired(device),
-            reason=reason,
-        )
-        return Repair2DResult(
-            outcome=outcome,
-            plan=plan,
-            cols_steered=tuple(device.colsteer.steered_cols()),
-            spare_cols_used=device.colsteer.spares_used,
-            cycles=cycles,
-        )
-
-    def _sweep_unrepaired(self, device) -> Tuple[int, ...]:
-        """Localise still-faulty rows with diversion/steering active
-        (the mission computer's degrade-around map)."""
-        bpc = device.array.bpc
-        mask = (1 << self.bpw) - 1
-        device.set_repair_mode(True)
-        bad_rows: List[int] = []
-        seen: Set[int] = set()
-        for pattern in (0, mask):
-            for address in range(device.word_count):
-                device.write(address, pattern)
-            for address in range(device.word_count):
-                if device.read(address) != pattern:
-                    row = address // bpc
-                    if row not in seen:
-                        seen.add(row)
-                        bad_rows.append(row)
-        return tuple(sorted(seen))

@@ -20,17 +20,19 @@ standard transformation:
   by remembering the initial words).
 
 :class:`TransparentBist` runs the transformed test against any
-:class:`~repro.bist.controller.TestTarget`; its guarantee — contents
+:class:`~repro.bist.controller.TestTarget` as one
+:meth:`~repro.bist.controller.BistScheduler.run_pass` over an XOR view
+of the target (reads and writes relative to the initial image), so
+the march walk is the self-test's own; its guarantee — contents
 preserved, faults still detected — is property-tested in the suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import List
 
-from repro.bist.controller import TestTarget
-from repro.bist.datagen import DataGen
+from repro.bist.controller import BistScheduler, TestTarget
 from repro.bist.march import MarchElement, MarchTest, Op, Order
 
 
@@ -78,6 +80,31 @@ class TransparentResult:
         return self.fail_count == 0
 
 
+class _XorView:
+    """The target seen through its initial image.
+
+    Reads return ``stored ^ initial`` and writes store ``word ^
+    initial``, so a plain march pass over the view is the transparent
+    test: the data generator's pattern is exactly the transparent
+    expected word.  The view offers no ``quiet_sweep`` (the image is
+    not uniform), so the pass runs word by word.
+    """
+
+    def __init__(self, target: TestTarget, initial: List[int]) -> None:
+        self.target = target
+        self.initial = initial
+        self.word_count = target.word_count
+
+    def read(self, address: int) -> int:
+        return self.target.read(address) ^ self.initial[address]
+
+    def write(self, address: int, word: int) -> None:
+        self.target.write(address, word ^ self.initial[address])
+
+    def retention_wait(self) -> None:
+        self.target.retention_wait()
+
+
 class TransparentBist:
     """Run a march test transparently: contents restored afterwards.
 
@@ -91,47 +118,19 @@ class TransparentBist:
 
     def __init__(self, march: MarchTest, bpw: int) -> None:
         self.march = transparent_march(march)
-        self.datagen = DataGen(bpw)
+        self.scheduler = BistScheduler(self.march, bpw)
         self.mask = (1 << bpw) - 1
 
     def run(self, target: TestTarget) -> TransparentResult:
-        initial: Dict[int, int] = {
-            a: target.read(a) for a in range(target.word_count)
-        }
-        op_count = len(initial)  # the signature pre-read sweep
-        fails = 0
-        self.datagen.reset()
-        while True:
-            background = self.datagen.pattern(0)
-            for element in self.march.elements:
-                if element.is_delay:
-                    target.retention_wait()
-                    continue
-                addresses = (
-                    range(target.word_count - 1, -1, -1)
-                    if element.order is Order.DOWN
-                    else range(target.word_count)
-                )
-                for address in addresses:
-                    base = initial[address] ^ background
-                    for op in element.ops:
-                        op_count += 1
-                        expected = (
-                            base ^ self.mask if op.data_bit else base
-                        )
-                        if op.is_read:
-                            if target.read(address) != expected:
-                                fails += 1
-                        else:
-                            target.write(address, expected)
-            if self.datagen.done:
-                break
-            self.datagen.step()
+        # The signature pre-read sweep, then the march over the XOR view.
+        initial = [target.read(a) for a in range(target.word_count)]
+        walk = self.scheduler.run_pass(_XorView(target, initial))
+        op_count = len(initial) + walk.op_count
         # Final restore sweep: the march leaves every word holding
         # ``initial ^ last_background``; one write pass folds the mask
         # back out (in hardware this is the inverse-mask write phase of
         # the transparent controller, not a stored-copy restore).
-        if self.datagen.pattern(0) != 0:
+        if self.scheduler.datagen.pattern(0) != 0:
             for address in range(target.word_count):
                 op_count += 1
                 target.write(address, initial[address])
@@ -141,6 +140,6 @@ class TransparentBist:
         )
         return TransparentResult(
             op_count=op_count,
-            fail_count=fails,
+            fail_count=walk.fail_count,
             contents_preserved=preserved,
         )

@@ -197,37 +197,19 @@ def fault_bitmap(records: Sequence[FailRecord], bpw: int, bpc: int,
 def collect_fail_records(march, device, bpw: int) -> List[FailRecord]:
     """Run one diagnostic pass of ``march`` and log every comparator
     hit with observed/expected data (a richer log than the production
-    controller keeps — this is the diagnosis mode)."""
-    from repro.bist.datagen import DataGen
-    from repro.bist.march import Order
+    controller keeps — this is the diagnosis mode).
 
-    datagen = DataGen(bpw)
+    The pass is :meth:`~repro.bist.controller.BistScheduler.run_pass`
+    in the device's current repair mode, fault sparse where the device
+    offers ``quiet_sweep``: a quiet row reads back what it expects, so
+    the log is that of the word-by-word pass.
+    """
+    from repro.bist.controller import BistScheduler
+
     records: List[FailRecord] = []
-    datagen.reset()
-    while True:
-        for element in march.elements:
-            if element.is_delay:
-                device.retention_wait()
-                continue
-            addresses = (
-                range(device.word_count - 1, -1, -1)
-                if element.order is Order.DOWN
-                else range(device.word_count)
-            )
-            for address in addresses:
-                for op in element.ops:
-                    if op.is_read:
-                        word = device.read(address)
-                        expected = datagen.pattern(op.data_bit)
-                        if word != expected:
-                            records.append(
-                                FailRecord(address, word, expected)
-                            )
-                    else:
-                        device.write(
-                            address, datagen.pattern(op.data_bit)
-                        )
-        if datagen.done:
-            break
-        datagen.step()
+
+    def log(address: int, observed: int, expected: int) -> None:
+        records.append(FailRecord(address, observed, expected))
+
+    BistScheduler(march, bpw).run_pass(device, log)
     return records

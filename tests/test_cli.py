@@ -249,6 +249,57 @@ class TestDiagnose:
         assert "0 comparator hits" in out
 
 
+BIG = ["--words", "4096", "--bpw", "32", "--bpc", "16", "--defects", "3",
+       "--seed", "1"]
+
+
+class TestDiagnosisOutputIsPinned:
+    """stdout of the diagnosis commands as the word-by-word diagnostic
+    pass printed it."""
+
+    def test_diagnose(self, capsys):
+        code, out = run(capsys, "diagnose", *BIG)
+        assert code == 0
+        assert out == (
+            "injected: ['TFf@35222', 'SA1@66864', 'SOp@123796']\n"
+            "65 comparator hits\n"
+            "diagnosis: cells=[(68, 6), (130, 0), (241, 4)], rows=[], "
+            "columns=[], row-repairable=True (3 spares needed)\n"
+            "verdict: repairable with 3 of 4 spare rows\n")
+
+    def test_repair_plan(self, capsys):
+        code, out = run(capsys, "repair-plan", *BIG, "--spare-cols", "2")
+        assert code == 0
+        assert out == (
+            "injected: ['TFf@35222', 'SA1@66864', 'SOp@123796']\n"
+            "65 comparator hits -> 3 distinct faulty cells\n"
+            "static plan: repairable [exact]: rows=[68, 130, 240] "
+            "cols=[], consumes 3 spare row(s) + 0 spare col(s)\n"
+            "dynamic repair: repaired in 2 cycle(s): "
+            "rows=[68, 130, 240] cols=[], 3 spare row(s) + "
+            "0 spare col(s) consumed\n"
+            "REPAIRED: 3 spare row(s) + 0 spare column(s) in "
+            "2 cycle(s)\n")
+
+    def test_repair_plan_with_column_defects(self, capsys):
+        """Column defects: the verify cycle runs with steering active,
+        so every row is busy and the pass goes op by op."""
+        code, out = run(capsys, "repair-plan", "--words", "256",
+                        "--bpw", "8", "--bpc", "4", "--spares", "4",
+                        "--spare-cols", "2", "--defects", "3",
+                        "--seed", "1", "--column-weight", "1.0")
+        assert code == 0
+        assert out == (
+            "injected: ['ColStuck0@c6', 'SA1@1044', 'ColStuck0@c30']\n"
+            "1164 comparator hits -> 129 distinct faulty cells\n"
+            "static plan: repairable [exact]: rows=[30] cols=[6, 30], "
+            "consumes 1 spare row(s) + 2 spare col(s)\n"
+            "dynamic repair: repaired in 2 cycle(s): rows=[30] "
+            "cols=[6, 30], 1 spare row(s) + 2 spare col(s) consumed\n"
+            "REPAIRED: 1 spare row(s) + 2 spare column(s) in "
+            "2 cycle(s)\n")
+
+
 class TestVerify:
     def test_signoff_clean(self, capsys):
         code, out = run(capsys, "verify", *CFG)
